@@ -1337,7 +1337,9 @@ impl BatchedCore {
                         let Some(exec) = self.execs[j][kind as usize].as_mut() else {
                             unreachable!("update op for kind {kind} without exec");
                         };
-                        exec.update(
+                        // Lanes advance in lock-step, so no block
+                        // sleeps here: the wake hint is not used.
+                        let _ = exec.update(
                             instance as usize,
                             &self.in_buf,
                             cycle,
@@ -1697,7 +1699,7 @@ impl std::fmt::Debug for BatchedEngine {
 mod tests {
     use super::*;
     use crate::block::{BlockKind, CombInputs};
-    use crate::compile::CompiledEngine;
+    use crate::compile::{CompiledEngine, Wake};
     use crate::demo::RegisteredDemoKind;
     use crate::side::SideView;
 
@@ -1790,9 +1792,13 @@ mod tests {
             inputs: &[u64],
             _cycle: u64,
             _side: &mut SideView<'_>,
-        ) {
+        ) -> Wake {
             let slot = self.slot(instance);
             *slot = (*slot + inputs[0]) & 0xFFFF;
+            Wake::Next
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
         }
     }
 

@@ -93,8 +93,45 @@ pub trait CompiledExec: Send {
 
     /// Commit the clock edge for `instance`: consume the settled
     /// `inputs` (all ports fresh) and advance the decoded register state
-    /// in place. Runs exactly once per system cycle.
-    fn update(&mut self, instance: usize, inputs: &[u64], cycle: u64, side: &mut SideView<'_>);
+    /// in place. Runs at most once per system cycle; the returned
+    /// [`Wake`] says when it has to run next. Engines that evaluate
+    /// every block every cycle may ignore it.
+    fn update(
+        &mut self,
+        instance: usize,
+        inputs: &[u64],
+        cycle: u64,
+        side: &mut SideView<'_>,
+    ) -> Wake;
+
+    /// The exec as [`Any`](std::any::Any), so a host that knows the
+    /// concrete type can borrow its decoded state instead of going
+    /// through [`store`](CompiledExec::store) and an unpack.
+    fn as_any(&self) -> &dyn std::any::Any;
+}
+
+/// When a block has to be evaluated again, as reported by
+/// [`CompiledExec::update`] for the cycle it just committed.
+///
+/// Anything but [`Next`](Wake::Next) is a promise about the update that
+/// returned it *and* the ones it lets the engine skip: no register and
+/// no side-ring word changed, and none will for as long as every input
+/// link keeps its current word (and, for [`At`](Wake::At), the named
+/// cycle has not come). Comb outputs are functions of registers and
+/// input links only, so the words the block last scattered stay right
+/// for that whole time too — the engine skips all of the block's ops
+/// and wakes it the moment one of its input links is written with a
+/// different word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// Evaluate the block next cycle (the only answer for an update
+    /// that did something, or whose behaviour depends on the cycle
+    /// number in a way `At` cannot express).
+    Next,
+    /// Nothing to do before this cycle unless an input link changes.
+    At(u64),
+    /// Nothing to do until an input link changes.
+    OnInput,
 }
 
 // ---------------------------------------------------------------------------
@@ -1171,8 +1208,171 @@ impl CompiledSnapshot {
     }
 }
 
+/// What the activity gate of the straight-line walk did since
+/// construction or the last [`CompiledEngine::reset_stats`]. Skips are
+/// reported here and nowhere else: [`DeltaStats`] keeps charging one
+/// delta per block per cycle, because the FPGA evaluates a sleeping
+/// block all the same.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GatingStats {
+    /// Ops executed.
+    pub ops_executed: u64,
+    /// Ops not executed because their block was asleep (the ops of
+    /// fast-forwarded cycles included).
+    pub ops_skipped: u64,
+    /// Blocks woken by a different word arriving on an input link.
+    pub input_wakes: u64,
+    /// Blocks woken because their [`Wake::At`] cycle came.
+    pub timed_wakes: u64,
+    /// System cycles advanced arithmetically while no block was awake.
+    pub fast_forwarded_cycles: u64,
+}
+
+impl GatingStats {
+    /// Share of all ops that were skipped (0 before the first cycle).
+    pub fn skipped_frac(&self) -> f64 {
+        let total = self.ops_executed + self.ops_skipped;
+        if total == 0 {
+            0.0
+        } else {
+            self.ops_skipped as f64 / total as f64
+        }
+    }
+}
+
+/// `Gate::consumer_block` entry of a link word nothing reads.
+const NO_READER: u32 = u32::MAX;
+
+/// The block-level activity gate: which blocks the walk evaluates this
+/// cycle, and what wakes the others.
+#[derive(Debug)]
+struct Gate {
+    /// Per block: its ops run this cycle.
+    awake: Vec<bool>,
+    n_awake: usize,
+    /// Per sleeping block: the cycle it wakes by itself (`u64::MAX` =
+    /// only on input).
+    wake_at: Vec<u64>,
+    /// Lower bound on the earliest `wake_at` of a sleeping block.
+    next_wake: u64,
+    /// Per arena link word: the block that reads it, or [`NO_READER`].
+    consumer_block: Vec<u32>,
+    stats: GatingStats,
+}
+
+impl Gate {
+    fn new(spec: &SystemSpec, prog: &CompiledProgram) -> Gate {
+        let mut consumer_block = vec![NO_READER; spec.links().len() + prog.n_sub()];
+        for (l, ls) in spec.links().iter().enumerate() {
+            if let Some((b, _)) = ls.consumer {
+                consumer_block[l] = b as u32;
+            }
+        }
+        for s in &prog.slices {
+            let reader = consumer_block[s.link as usize];
+            consumer_block[s.base as usize..(s.base + s.width) as usize].fill(reader);
+        }
+        let nb = spec.blocks().len();
+        Gate {
+            awake: vec![true; nb],
+            n_awake: nb,
+            wake_at: vec![u64::MAX; nb],
+            next_wake: u64::MAX,
+            consumer_block,
+            stats: GatingStats::default(),
+        }
+    }
+
+    fn wake_all(&mut self) {
+        self.awake.fill(true);
+        self.n_awake = self.awake.len();
+        self.next_wake = u64::MAX;
+    }
+
+    /// Link word `link` just changed: its reader has work to do.
+    #[inline]
+    fn wake_reader(&mut self, link: usize) {
+        let b = self.consumer_block[link];
+        if b != NO_READER && !self.awake[b as usize] {
+            self.awake[b as usize] = true;
+            self.n_awake += 1;
+            self.stats.input_wakes += 1;
+        }
+    }
+
+    /// Block `b`'s update at `cycle` found nothing to do before `until`.
+    #[inline]
+    fn sleep(&mut self, b: usize, until: u64, cycle: u64) {
+        if until > cycle + 1 {
+            self.awake[b] = false;
+            self.n_awake -= 1;
+            self.wake_at[b] = until;
+            self.next_wake = self.next_wake.min(until);
+        }
+    }
+
+    /// Wake every sleeper whose `wake_at` is `cycle` or earlier.
+    #[inline]
+    fn wake_due(&mut self, cycle: u64) {
+        if cycle < self.next_wake {
+            return;
+        }
+        let mut next = u64::MAX;
+        for b in 0..self.awake.len() {
+            if self.awake[b] {
+                continue;
+            }
+            if self.wake_at[b] <= cycle {
+                self.awake[b] = true;
+                self.n_awake += 1;
+                self.stats.timed_wakes += 1;
+            } else {
+                next = next.min(self.wake_at[b]);
+            }
+        }
+        self.next_wake = next;
+    }
+}
+
+/// Run one op's gather moves into the port-indexed `in_buf`.
+#[inline]
+fn gather_moves(moves: &[GatherMove], words: &[u64], in_buf: &mut [u64]) {
+    for m in moves {
+        let v = words[m.link as usize] << m.shift;
+        if m.acc {
+            in_buf[m.port as usize] |= v;
+        } else {
+            in_buf[m.port as usize] = v;
+        }
+    }
+}
+
+/// Run one straight-line op's scatter moves, waking the reader of every
+/// link whose word actually changes.
+#[inline]
+fn scatter_moves(moves: &[ScatterMove], out_buf: &[u64], words: &mut [u64], gate: &mut Gate) {
+    for m in moves {
+        let v = (out_buf[m.port as usize] >> m.shift) & m.mask;
+        let w = &mut words[m.link as usize];
+        if *w != v {
+            *w = v;
+            gate.wake_reader(m.link as usize);
+        }
+    }
+}
+
 /// The compiled-schedule engine: executes a [`CompiledProgram`] over an
 /// [`Arena`] with a computed-dispatch interpreter loop.
+///
+/// The straight-line walk is event-driven at block granularity: a block
+/// whose [`CompiledExec::update`] reports nothing to do ([`Wake`]) is
+/// put to sleep and all its ops are skipped until one of its input
+/// links is written with a different word or its wake-up cycle comes;
+/// with no block awake, [`try_run`](Self::try_run) advances time
+/// arithmetically. Results, snapshots and [`DeltaStats`] are those of
+/// evaluating every op every cycle; [`gating_stats`](Self::gating_stats)
+/// reports what was skipped. Debug builds re-execute every skipped op
+/// and assert it changes nothing.
 pub struct CompiledEngine {
     spec: SystemSpec,
     prog: CompiledProgram,
@@ -1190,6 +1390,7 @@ pub struct CompiledEngine {
     stats: DeltaStats,
     broken: Option<SimError>,
     profiler: Option<Box<KernelProfiler>>,
+    gate: Gate,
 }
 
 impl CompiledEngine {
@@ -1252,6 +1453,7 @@ impl CompiledEngine {
             stats: DeltaStats::default(),
             broken: None,
             profiler: None,
+            gate: Gate::new(&spec, &prog),
             prog,
             spec,
         };
@@ -1260,7 +1462,9 @@ impl CompiledEngine {
     }
 
     /// (Re)load every custom exec's decoded state from the arena's
-    /// current bank.
+    /// current bank, and wake every block: the next cycle runs all comb
+    /// passes before any update, which rebuilds whatever the execs cache
+    /// between the two and sets every `dirty` flag again.
     fn load_execs(&mut self) {
         for (b, inst) in self.spec.blocks().iter().enumerate() {
             if let Some(exec) = self.execs[inst.kind].as_mut() {
@@ -1268,6 +1472,7 @@ impl CompiledEngine {
             }
             self.dirty[b] = false;
         }
+        self.gate.wake_all();
     }
 
     /// The compiled program being executed.
@@ -1314,7 +1519,16 @@ impl CompiledEngine {
             matches!(self.spec.links()[l].driver, LinkDriver::External),
             "link {l} is not external"
         );
-        self.arena.set_link(l, v);
+        if self.arena.link(l) != v {
+            self.arena.set_link(l, v);
+            self.gate.wake_reader(l);
+        }
+    }
+
+    /// The specialized exec of kind `kind`, if it has one (host-side
+    /// borrow of decoded state via [`CompiledExec::as_any`]).
+    pub fn exec(&self, kind: usize) -> Option<&dyn CompiledExec> {
+        self.execs[kind].as_deref()
     }
 
     /// Packed current-state words of block `b` (packs decoded exec
@@ -1337,9 +1551,16 @@ impl CompiledEngine {
         &self.stats
     }
 
-    /// Reset the delta statistics.
+    /// Reset the delta statistics and the gating statistics.
     pub fn reset_stats(&mut self) {
         self.stats = DeltaStats::default();
+        self.gate.stats = GatingStats::default();
+    }
+
+    /// What the activity gate executed, skipped and woke since
+    /// construction or the last [`reset_stats`](Self::reset_stats).
+    pub fn gating_stats(&self) -> GatingStats {
+        self.gate.stats
     }
 
     /// Side-ring memory (host access to iface rings).
@@ -1418,8 +1639,8 @@ impl CompiledEngine {
         }
         let deltas = match self.prog.mode {
             ProgramMode::StraightLine { .. } => {
-                self.run_straight();
-                (self.prog.ops.len() - self.prog.update_start) as u64
+                self.run_straight(self.cycle);
+                self.straight_deltas()
             }
             ProgramMode::FixedPoint { max_passes } => {
                 let passes = match self.run_fixed_point(max_passes) {
@@ -1446,25 +1667,84 @@ impl CompiledEngine {
     /// # Panics
     /// On a sticky error (use [`try_run`](Self::try_run)).
     pub fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
+        if let Err(e) = self.try_run(n) {
+            panic!("{e}");
         }
     }
 
-    /// Run `n` system cycles, stopping at the first error.
+    /// Run `n` system cycles, stopping at the first error. Stretches in
+    /// which no block is awake are not walked: time jumps to the first
+    /// timed wake-up (or the end of the run), with the same
+    /// [`DeltaStats`], `cycle()` and state as stepping through them.
     pub fn try_run(&mut self, n: u64) -> Result<(), SimError> {
-        for _ in 0..n {
+        let end = self.cycle.saturating_add(n);
+        while self.cycle < end {
+            // A profiler is owed `begin_cycle`/`end_cycle` per simulated
+            // cycle, so it keeps the per-cycle walk.
+            if self.gate.n_awake == 0 && self.profiler.is_none() {
+                let until = self.gate.next_wake.min(end);
+                if until > self.cycle {
+                    self.fast_forward(until - self.cycle);
+                    continue;
+                }
+            }
             self.try_step()?;
         }
         Ok(())
     }
 
+    /// Deltas one straight-line cycle costs the FPGA: one per update op,
+    /// asleep or not.
+    fn straight_deltas(&self) -> u64 {
+        (self.prog.ops.len() - self.prog.update_start) as u64
+    }
+
+    /// Advance `k` cycles in which every block sleeps (so the program is
+    /// straight-line and no wake-up falls inside them).
+    fn fast_forward(&mut self, k: u64) {
+        if cfg!(debug_assertions) {
+            // Nothing is awake, so the walk only re-executes and asserts.
+            for i in 0..k {
+                self.run_straight(self.cycle + i);
+            }
+        } else {
+            self.gate.stats.ops_skipped += k * self.prog.ops.len() as u64;
+        }
+        self.gate.stats.fast_forwarded_cycles += k;
+        self.stats
+            .record_cycles(k, self.straight_deltas(), self.prog.n_blocks as u64);
+        if k % 2 == 1 {
+            self.arena.swap();
+        }
+        self.cycle += k;
+    }
+
     /// The straight-line interpreter: one pass over the comb section
-    /// (level order), one pass over the updates. No change detection.
-    fn run_straight(&mut self) {
-        let cycle = self.cycle;
+    /// (level order), one pass over the updates, both skipping the ops
+    /// of sleeping blocks. A scatter stores (and wakes the link's
+    /// reader) only when the word differs, so a block woken mid-pass
+    /// still gets its update — and every comb op that could see the
+    /// changed link — in the same cycle: levels put a link's driver
+    /// before the comb ops that depend on it, and updates come last.
+    ///
+    /// In debug builds the ops of a sleeping block are executed anyway
+    /// and asserted to change nothing (`asleep` is then the oracle
+    /// path); release builds never enter an arm with `asleep` set.
+    fn run_straight(&mut self, cycle: u64) {
+        self.gate.wake_due(cycle);
+        let mut skipped = 0u64;
         for idx in 0..self.prog.ops.len() {
             let op = self.prog.ops[idx];
+            let asleep = !self.gate.awake[op.block()];
+            if asleep {
+                skipped += 1;
+                if let (Op::Update { block, .. }, Some(p)) = (op, self.profiler.as_mut()) {
+                    p.note_skipped(block as usize);
+                }
+                if !cfg!(debug_assertions) {
+                    continue;
+                }
+            }
             match op {
                 Op::Comb {
                     kind,
@@ -1475,14 +1755,11 @@ impl CompiledEngine {
                     scatter,
                 } => {
                     let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                    for m in &self.prog.gathers[gather.as_range()] {
-                        let v = self.arena.words[m.link as usize] << m.shift;
-                        if m.acc {
-                            self.in_buf[m.port as usize] |= v;
-                        } else {
-                            self.in_buf[m.port as usize] = v;
-                        }
-                    }
+                    gather_moves(
+                        &self.prog.gathers[gather.as_range()],
+                        &self.arena.words,
+                        &mut self.in_buf,
+                    );
                     let Some(exec) = self.execs[kind as usize].as_mut() else {
                         unreachable!("comb op for kind {kind} without exec");
                     };
@@ -1494,10 +1771,20 @@ impl CompiledEngine {
                         &mut self.out_buf,
                         &mut self.side.view(block as usize),
                     );
-                    for m in &self.prog.scatters[scatter.as_range()] {
-                        self.arena.words[m.link as usize] =
-                            (self.out_buf[m.port as usize] >> m.shift) & m.mask;
+                    let moves = &self.prog.scatters[scatter.as_range()];
+                    if asleep {
+                        for m in moves {
+                            assert_eq!(
+                                self.arena.words[m.link as usize],
+                                (self.out_buf[m.port as usize] >> m.shift) & m.mask,
+                                "sleeping block {block} would drive a new word on \
+                                 link word {} in cycle {cycle}",
+                                m.link
+                            );
+                        }
+                        continue;
                     }
+                    scatter_moves(moves, &self.out_buf, &mut self.arena.words, &mut self.gate);
                     if let Some(p) = self.profiler.as_mut() {
                         p.end_op(block as usize, t0);
                     }
@@ -1511,14 +1798,11 @@ impl CompiledEngine {
                     ..
                 } => {
                     let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                    for m in &self.prog.gathers[gather.as_range()] {
-                        let v = self.arena.words[m.link as usize] << m.shift;
-                        if m.acc {
-                            self.in_buf[m.port as usize] |= v;
-                        } else {
-                            self.in_buf[m.port as usize] = v;
-                        }
-                    }
+                    gather_moves(
+                        &self.prog.gathers[gather.as_range()],
+                        &self.arena.words,
+                        &mut self.in_buf,
+                    );
                     let b = block as usize;
                     let n_in = self.spec.blocks()[b].inputs.len();
                     let n_out = self.spec.blocks()[b].outputs.len();
@@ -1532,10 +1816,12 @@ impl CompiledEngine {
                         &mut self.out_buf[..n_out],
                         &mut self.side.view(b),
                     );
-                    for m in &self.prog.scatters[scatter.as_range()] {
-                        self.arena.words[m.link as usize] =
-                            (self.out_buf[m.port as usize] >> m.shift) & m.mask;
-                    }
+                    scatter_moves(
+                        &self.prog.scatters[scatter.as_range()],
+                        &self.out_buf,
+                        &mut self.arena.words,
+                        &mut self.gate,
+                    );
                     if let Some(p) = self.profiler.as_mut() {
                         p.end_op(b, t0);
                     }
@@ -1547,24 +1833,34 @@ impl CompiledEngine {
                     gather,
                 } => {
                     let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                    for m in &self.prog.gathers[gather.as_range()] {
-                        let v = self.arena.words[m.link as usize] << m.shift;
-                        if m.acc {
-                            self.in_buf[m.port as usize] |= v;
-                        } else {
-                            self.in_buf[m.port as usize] = v;
-                        }
-                    }
+                    gather_moves(
+                        &self.prog.gathers[gather.as_range()],
+                        &self.arena.words,
+                        &mut self.in_buf,
+                    );
                     let Some(exec) = self.execs[kind as usize].as_mut() else {
                         unreachable!("update op for kind {kind} without exec");
                     };
-                    exec.update(
+                    let wake = exec.update(
                         instance as usize,
                         &self.in_buf,
                         cycle,
                         &mut self.side.view(block as usize),
                     );
+                    if asleep {
+                        assert_ne!(
+                            wake,
+                            Wake::Next,
+                            "block {block} slept through work in cycle {cycle}"
+                        );
+                        continue;
+                    }
                     self.dirty[block as usize] = true;
+                    match wake {
+                        Wake::Next => {}
+                        Wake::At(until) => self.gate.sleep(block as usize, until, cycle),
+                        Wake::OnInput => self.gate.sleep(block as usize, u64::MAX, cycle),
+                    }
                     if let Some(p) = self.profiler.as_mut() {
                         p.end_eval(block as usize, false, t0);
                     }
@@ -1576,14 +1872,11 @@ impl CompiledEngine {
                     gather,
                 } => {
                     let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                    for m in &self.prog.gathers[gather.as_range()] {
-                        let v = self.arena.words[m.link as usize] << m.shift;
-                        if m.acc {
-                            self.in_buf[m.port as usize] |= v;
-                        } else {
-                            self.in_buf[m.port as usize] = v;
-                        }
-                    }
+                    gather_moves(
+                        &self.prog.gathers[gather.as_range()],
+                        &self.arena.words,
+                        &mut self.in_buf,
+                    );
                     let b = block as usize;
                     let n_in = self.spec.blocks()[b].inputs.len();
                     let n_out = self.spec.blocks()[b].outputs.len();
@@ -1616,6 +1909,8 @@ impl CompiledEngine {
                 }
             }
         }
+        self.gate.stats.ops_skipped += skipped;
+        self.gate.stats.ops_executed += self.prog.ops.len() as u64 - skipped;
     }
 
     /// The fixed-point interpreter (cyclic comb graphs): full packed
@@ -1637,14 +1932,11 @@ impl CompiledEngine {
                     unreachable!("non-eval_full op in fixed-point program");
                 };
                 let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                for m in &self.prog.gathers[gather.as_range()] {
-                    let v = self.arena.words[m.link as usize] << m.shift;
-                    if m.acc {
-                        self.in_buf[m.port as usize] |= v;
-                    } else {
-                        self.in_buf[m.port as usize] = v;
-                    }
-                }
+                gather_moves(
+                    &self.prog.gathers[gather.as_range()],
+                    &self.arena.words,
+                    &mut self.in_buf,
+                );
                 let b = block as usize;
                 let n_in = self.spec.blocks()[b].inputs.len();
                 let n_out = self.spec.blocks()[b].outputs.len();
@@ -1945,8 +2237,11 @@ mod tests {
     }
 
     /// Toy kind with a specialized exec: a 16-bit accumulator whose
-    /// port 0 is the registered value and port 1 the comb sum.
-    struct AccKind;
+    /// port 0 is the registered value and port 1 the comb sum. With
+    /// `lies` set its exec claims every update left it idle.
+    struct AccKind {
+        lies: bool,
+    }
 
     impl BlockKind for AccKind {
         fn name(&self) -> &str {
@@ -1987,12 +2282,16 @@ mod tests {
             }
         }
         fn compile(&self) -> Option<Box<dyn CompiledExec>> {
-            Some(Box::new(AccExec { s: Vec::new() }))
+            Some(Box::new(AccExec {
+                s: Vec::new(),
+                lies: self.lies,
+            }))
         }
     }
 
     struct AccExec {
         s: Vec<u64>,
+        lies: bool,
     }
 
     impl AccExec {
@@ -2033,16 +2332,24 @@ mod tests {
             inputs: &[u64],
             _cycle: u64,
             _side: &mut SideView<'_>,
-        ) {
+        ) -> Wake {
             let slot = self.slot(instance);
             *slot = (*slot + inputs[0]) & 0xFFFF;
+            if self.lies {
+                Wake::OnInput
+            } else {
+                Wake::Next
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
         }
     }
 
     fn acc_pair() -> SystemSpec {
         // Registered ports close the ring; comb ports go to sinks.
         let mut spec = SystemSpec::new();
-        let k = spec.add_kind(Box::new(AccKind));
+        let k = spec.add_kind(Box::new(AccKind { lies: false }));
         let a = spec.add_block(k);
         let b = spec.add_block(k);
         spec.wire((a, 0), (b, 0));
@@ -2085,6 +2392,245 @@ mod tests {
                     "link {l} cycle {cycle}"
                 );
             }
+        }
+    }
+
+    /// Toy kind for the activity gate: a 16-bit register that follows
+    /// its input one cycle later, but only from cycle `HOLD_UNTIL` on
+    /// (before that it holds). Its exec sleeps whenever the edge is a
+    /// no-op: `At(HOLD_UNTIL)` while holding a different input,
+    /// `OnInput` once register and input agree.
+    struct FollowKind;
+    const HOLD_UNTIL: u64 = 40;
+
+    impl FollowKind {
+        fn next(s: u64, input: u64, cycle: u64) -> u64 {
+            if cycle >= HOLD_UNTIL {
+                input
+            } else {
+                s
+            }
+        }
+    }
+
+    impl BlockKind for FollowKind {
+        fn name(&self) -> &str {
+            "follow"
+        }
+        fn state_bits(&self) -> usize {
+            16
+        }
+        fn input_widths(&self) -> Vec<usize> {
+            vec![16]
+        }
+        fn output_widths(&self) -> Vec<usize> {
+            vec![16]
+        }
+        fn reset(&self, state: &mut [u64]) {
+            state[0] = 0;
+        }
+        fn eval(
+            &self,
+            _instance: usize,
+            cur: &[u64],
+            inputs: &[u64],
+            cycle: u64,
+            next: &mut [u64],
+            outputs: &mut [u64],
+            _side: &mut SideView<'_>,
+        ) {
+            outputs[0] = cur[0];
+            next[0] = Self::next(cur[0], inputs[0], cycle);
+        }
+        fn comb_inputs(&self, _port: usize) -> CombInputs {
+            CombInputs::None
+        }
+        fn compile(&self) -> Option<Box<dyn CompiledExec>> {
+            Some(Box::new(FollowExec { s: Vec::new() }))
+        }
+    }
+
+    struct FollowExec {
+        s: Vec<u64>,
+    }
+
+    impl CompiledExec for FollowExec {
+        fn load(&mut self, instance: usize, packed: &[u64]) {
+            if self.s.len() <= instance {
+                self.s.resize(instance + 1, 0);
+            }
+            self.s[instance] = packed[0];
+        }
+        fn store(&self, instance: usize, packed: &mut [u64]) {
+            packed[0] = self.s[instance];
+        }
+        fn comb(
+            &mut self,
+            instance: usize,
+            _pass: usize,
+            _inputs: &[u64],
+            _cycle: u64,
+            outputs: &mut [u64],
+            _side: &mut SideView<'_>,
+        ) {
+            outputs[0] = self.s[instance];
+        }
+        fn update(
+            &mut self,
+            instance: usize,
+            inputs: &[u64],
+            cycle: u64,
+            _side: &mut SideView<'_>,
+        ) -> Wake {
+            let s = self.s[instance];
+            let next = FollowKind::next(s, inputs[0], cycle);
+            self.s[instance] = next;
+            if next != s {
+                Wake::Next
+            } else if s == inputs[0] {
+                Wake::OnInput
+            } else {
+                Wake::At(HOLD_UNTIL)
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// ext -> F0 -> F1 -> F2 -> sink.
+    fn follow_chain() -> (SystemSpec, usize) {
+        let mut spec = SystemSpec::new();
+        let k = spec.add_kind(Box::new(FollowKind));
+        let b: Vec<usize> = (0..3).map(|_| spec.add_block(k)).collect();
+        let ext = spec.external((b[0], 0), 0);
+        spec.wire((b[0], 0), (b[1], 0));
+        spec.wire((b[1], 0), (b[2], 0));
+        spec.sink((b[2], 0));
+        (spec, ext)
+    }
+
+    fn snapshot_bytes(eng: &CompiledEngine) -> Vec<u8> {
+        let mut e = crate::wire::Enc::new();
+        eng.snapshot().encode(&mut e);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn gated_walk_is_invisible_and_reports_its_skips() {
+        // Three drivers of the same schedule: `try_run` in chunks (may
+        // fast-forward), `try_step` every cycle, and the interpreting
+        // engine as the ungated reference. A value is poked in before
+        // the hold ends (timed wake) and another long after (input
+        // wake rippling down the chain of sleepers).
+        let pokes = [(7u64, 0x1234u64), (90, 0xBEEF)];
+        let (spec, ext) = follow_chain();
+        let mut run = CompiledEngine::new(spec);
+        let mut step = CompiledEngine::new(follow_chain().0);
+        let mut dy = DynamicEngine::new(follow_chain().0);
+        let mut at = 0u64;
+        for (when, v) in pokes.into_iter().chain([(200, 0)]) {
+            run.try_run(when - at).expect("straight-line");
+            for _ in at..when {
+                step.try_step().expect("straight-line");
+                dy.step();
+            }
+            at = when;
+            assert_eq!(run.cycle(), when);
+            assert_eq!(run.stats(), step.stats(), "cycle {when}");
+            assert_eq!(snapshot_bytes(&run), snapshot_bytes(&step), "cycle {when}");
+            for b in 0..3 {
+                assert_eq!(run.peek_state(b), dy.peek_state(b).to_vec(), "block {b}");
+            }
+            for l in 0..run.spec().links().len() {
+                assert_eq!(run.link_value(l), dy.link_value(l), "link {l}");
+            }
+            run.set_external(ext, v);
+            step.set_external(ext, v);
+            dy.set_external(ext, v);
+        }
+        // The last value arrived at the end of the chain.
+        assert_eq!(state16(&run.peek_state(2)), 0xBEEF);
+
+        let g = run.gating_stats();
+        assert_eq!(g.timed_wakes, 1, "F0 held 0x1234 until HOLD_UNTIL");
+        assert!(
+            g.input_wakes >= 5,
+            "two pokes wake F0, each ripples to F1, F2"
+        );
+        assert!(g.fast_forwarded_cycles > 100, "{g:?}");
+        assert_eq!(
+            g.ops_executed + g.ops_skipped,
+            200 * run.program().ops.len() as u64
+        );
+        assert!(g.skipped_frac() > 0.8, "{g:?}");
+        // Same skips whether or not time was fast-forwarded.
+        let gs = step.gating_stats();
+        assert_eq!(gs.fast_forwarded_cycles, 0);
+        assert_eq!(
+            (g.ops_executed, g.ops_skipped),
+            (gs.ops_executed, gs.ops_skipped)
+        );
+        // The paper's accounting is ungated: one delta per block per cycle.
+        assert_eq!(run.stats().delta_cycles, 200 * 3);
+    }
+
+    #[test]
+    fn restore_wakes_every_block() {
+        let (spec, ext) = follow_chain();
+        let mut eng = CompiledEngine::new(spec);
+        eng.set_external(ext, 5);
+        eng.run(60);
+        let asleep = eng.snapshot();
+        eng.set_external(ext, 9);
+        eng.run(20);
+        let want: Vec<Vec<u64>> = (0..3).map(|b| eng.peek_state(b)).collect();
+        // Taken while everything slept; restoring must not inherit the
+        // sleep of the engine it is restored into (here: wide awake).
+        eng.restore(&asleep);
+        let executed = eng.gating_stats().ops_executed;
+        eng.set_external(ext, 9);
+        eng.run(20);
+        assert!(
+            eng.gating_stats().ops_executed >= executed + 6,
+            "all ops ran once"
+        );
+        for b in 0..3 {
+            assert_eq!(eng.peek_state(b), want[b], "block {b}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "would drive a new word")]
+    fn debug_walk_catches_an_unsound_wake_hint() {
+        let mut spec = SystemSpec::new();
+        let k = spec.add_kind(Box::new(AccKind { lies: true }));
+        let b = spec.add_block(k);
+        spec.external((b, 0), 1);
+        spec.sink((b, 0));
+        spec.sink((b, 1));
+        CompiledEngine::new(spec).run(3);
+    }
+
+    #[test]
+    fn profiled_run_is_stepped_and_counts_skips_per_block() {
+        let (spec, _) = follow_chain();
+        let mut eng = CompiledEngine::new(spec);
+        eng.attach_profiler(KernelProfiler::new(3, 1));
+        eng.try_run(50).expect("straight-line");
+        assert_eq!(eng.gating_stats().fast_forwarded_cycles, 0);
+        let report = eng
+            .take_profiler()
+            .expect("attached")
+            .report("seqsim-compiled", 0.0, 0);
+        assert_eq!(
+            report.cycles, 50,
+            "begin/end_cycle once per simulated cycle"
+        );
+        for e in &report.entries {
+            assert_eq!(e.evals + e.skipped, 50, "block {}", e.block);
+            assert!(e.skipped >= 48, "block {}", e.block);
         }
     }
 

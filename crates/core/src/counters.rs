@@ -37,6 +37,21 @@ impl DeltaStats {
         self.max_deltas_in_cycle = self.max_deltas_in_cycle.max(deltas);
     }
 
+    /// Record `k` completed system cycles of `deltas` evaluations each:
+    /// exactly `k` calls of [`record_cycle`](Self::record_cycle), in
+    /// O(1). The compiled engine's idle fast-forward uses it — the FPGA
+    /// spends the delta cycles of a sleeping block all the same.
+    pub fn record_cycles(&mut self, k: u64, deltas: u64, num_blocks: u64) {
+        if k == 0 {
+            return;
+        }
+        self.system_cycles += k;
+        self.delta_cycles += k * deltas;
+        self.re_evaluations += k * deltas.saturating_sub(num_blocks);
+        self.deltas_last_cycle = deltas;
+        self.max_deltas_in_cycle = self.max_deltas_in_cycle.max(deltas);
+    }
+
     /// Mean delta cycles per system cycle.
     pub fn avg_deltas_per_cycle(&self) -> f64 {
         if self.system_cycles == 0 {
@@ -100,6 +115,20 @@ mod tests {
         assert_eq!(s.max_deltas_in_cycle, 40);
         assert!((s.avg_deltas_per_cycle() - 38.0).abs() < 1e-12);
         assert!((s.extra_fraction(36) - 6.0 / 108.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_cycles_equals_repeated_record_cycle() {
+        for (k, deltas, blocks) in [(0u64, 36u64, 36u64), (1, 36, 36), (7, 40, 36), (512, 9, 36)] {
+            let mut seed = DeltaStats::default();
+            seed.record_cycle(38, 36);
+            let (mut batch, mut single) = (seed.clone(), seed);
+            batch.record_cycles(k, deltas, blocks);
+            for _ in 0..k {
+                single.record_cycle(deltas, blocks);
+            }
+            assert_eq!(batch, single, "k={k} deltas={deltas}");
+        }
     }
 
     #[test]

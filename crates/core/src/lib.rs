@@ -93,8 +93,8 @@ pub use block::{
     LinkSpec, SystemSpec,
 };
 pub use compile::{
-    CompileOptions, CompiledEngine, CompiledExec, CompiledProgram, CompiledSnapshot, ProgramMode,
-    SlicePlan,
+    CompileOptions, CompiledEngine, CompiledExec, CompiledProgram, CompiledSnapshot, GatingStats,
+    ProgramMode, SlicePlan, Wake,
 };
 pub use counters::DeltaStats;
 pub use dynamic_sched::{DynamicEngine, HybridRun, HybridSchedule, Scheduling, Snapshot};

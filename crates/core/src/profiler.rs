@@ -37,6 +37,9 @@ pub struct KernelProfiler {
     evals: Vec<u64>,
     /// Per-block HBR-forced re-evaluations.
     retries: Vec<u64>,
+    /// Per-block evaluations the compiled engine's activity gate
+    /// skipped (the block was asleep).
+    skipped: Vec<u64>,
     /// Per-block evaluations that were wall-clock timed.
     timed_evals: Vec<u64>,
     /// Per-block nanoseconds across the timed evaluations.
@@ -68,6 +71,7 @@ impl KernelProfiler {
             cycles: 0,
             evals: vec![0; n_blocks],
             retries: vec![0; n_blocks],
+            skipped: vec![0; n_blocks],
             timed_evals: vec![0; n_blocks],
             timed_ns: vec![0; n_blocks],
             cycle_evals: vec![0; n_blocks],
@@ -148,6 +152,12 @@ impl KernelProfiler {
         }
     }
 
+    /// Count one evaluation of `block` that the activity gate skipped.
+    #[inline]
+    pub fn note_skipped(&mut self, block: usize) {
+        self.skipped[block] += 1;
+    }
+
     /// Close a system cycle: fold this cycle's per-block eval counts
     /// into the per-SCC round maxima and reset them.
     pub fn end_cycle(&mut self) {
@@ -198,6 +208,7 @@ impl KernelProfiler {
                 fixed_point: self.scc_blocks[scc] > 1,
                 evals: self.evals[b],
                 hbr_retries: self.retries[b],
+                skipped: self.skipped[b],
                 self_ns,
             });
         }

@@ -22,7 +22,7 @@ use noc_types::{NetworkConfig, NUM_VCS};
 use seqsim::{CompileOptions, CompiledEngine, DeltaStats, SimError};
 use std::sync::Arc;
 use vc_router::block::{RING_ACC, RING_OUT, RING_STIM0};
-use vc_router::{AccEntry, IfaceConfig, OutEntry, RouterRegs, StimEntry};
+use vc_router::{AccEntry, CompiledRouter, IfaceConfig, OutEntry, RouterRegs, StimEntry};
 
 /// Wire version of [`CompiledNoc`] checkpoints (engine-distinct so a
 /// checkpoint can never be restored into the wrong backend).
@@ -119,9 +119,34 @@ impl CompiledNoc {
         self.host = snap.1.clone();
     }
 
-    /// Device-side register file of one router (a host "memory peek").
+    /// Device-side register file of one router (a host "memory peek"):
+    /// the packed state words, decoded. The audit reads
+    /// ([`stim_free`](NocEngine::stim_free),
+    /// [`vc_occupancy`](NocEngine::vc_occupancy)) come through here.
     pub fn peek_regs(&self, node: usize) -> RouterRegs {
         RouterRegs::unpack(self.depths[node], &self.engine.peek_state(node))
+    }
+
+    /// Borrow node `node`'s decoded register file straight from the
+    /// router exec — the campaign's host window (`push_stim`,
+    /// `drain_delivered`, `drain_access`) reads one pointer per call,
+    /// so it must not pay a pack and an unpack of the whole file for it.
+    fn regs(&self, node: usize) -> &RouterRegs {
+        let inst = &self.engine.spec().blocks()[node];
+        let Some(router) = self
+            .engine
+            .exec(inst.kind)
+            .and_then(|e| e.as_any().downcast_ref::<CompiledRouter>())
+        else {
+            unreachable!("NoC block {node} is not a compiled router");
+        };
+        router.regs(inst.instance_of_kind)
+    }
+
+    /// Free slots of a stimuli ring given the device's read pointer.
+    fn stim_room(&self, node: usize, vc: usize, dev_rd: u16) -> usize {
+        let fill = self.host.stim_wr[node][vc].wrapping_sub(dev_rd);
+        self.iface_cfg.stim_cap - fill as usize
     }
 }
 
@@ -144,6 +169,14 @@ impl NocEngine for CompiledNoc {
 
     fn try_step(&mut self) -> Result<(), SimError> {
         self.engine.try_step()
+    }
+
+    fn run(&mut self, n: u64) {
+        self.engine.run(n);
+    }
+
+    fn try_run(&mut self, n: u64) -> Result<(), SimError> {
+        self.engine.try_run(n)
     }
 
     fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
@@ -190,13 +223,11 @@ impl NocEngine for CompiledNoc {
     }
 
     fn stim_free(&self, node: usize, vc: usize) -> usize {
-        let dev_rd = self.peek_regs(node).iface.stim_rd[vc];
-        let fill = self.host.stim_wr[node][vc].wrapping_sub(dev_rd);
-        self.iface_cfg.stim_cap - fill as usize
+        self.stim_room(node, vc, self.peek_regs(node).iface.stim_rd[vc])
     }
 
     fn push_stim(&mut self, node: usize, vc: usize, entry: StimEntry) -> bool {
-        if self.stim_free(node, vc) == 0 {
+        if self.stim_room(node, vc, self.regs(node).iface.stim_rd[vc]) == 0 {
             return false;
         }
         let wr = &mut self.host.stim_wr[node][vc];
@@ -210,7 +241,7 @@ impl NocEngine for CompiledNoc {
     }
 
     fn drain_delivered(&mut self, node: usize) -> Vec<OutEntry> {
-        let dev = self.peek_regs(node).iface.out_wr;
+        let dev = self.regs(node).iface.out_wr;
         let rd = &mut self.host.out_rd[node];
         let pending = ring_pending(*rd, dev, self.iface_cfg.out_cap, "output");
         let mut out = Vec::with_capacity(pending);
@@ -226,7 +257,7 @@ impl NocEngine for CompiledNoc {
     }
 
     fn drain_access(&mut self, node: usize) -> Vec<AccEntry> {
-        let dev = self.peek_regs(node).iface.acc_wr;
+        let dev = self.regs(node).iface.acc_wr;
         let rd = &mut self.host.acc_rd[node];
         let pending = ring_pending(*rd, dev, self.iface_cfg.acc_cap, "access-delay");
         let mut out = Vec::with_capacity(pending);
@@ -276,7 +307,7 @@ impl NocEngine for CompiledNoc {
 mod tests {
     use super::*;
     use crate::SeqNoc;
-    use noc_types::{Coord, Flit, Topology};
+    use noc_types::{Coord, Flit, NodeId, Topology};
     use seqsim::ProgramMode;
 
     #[test]
@@ -341,6 +372,166 @@ mod tests {
         for node in 0..cfg.num_nodes() {
             assert_eq!(a.drain_delivered(node), b.drain_delivered(node));
             assert_eq!(a.drain_access(node), b.drain_access(node));
+        }
+    }
+
+    fn head_tail(ts: u64, dest: Coord) -> StimEntry {
+        StimEntry {
+            ts,
+            flit: Flit::head_tail(dest, 0),
+        }
+    }
+
+    /// Step `a` and `b` one cycle at a time up to cycle `until`,
+    /// comparing every register file after every cycle.
+    fn lockstep(a: &mut SeqNoc, b: &mut CompiledNoc, until: u64) {
+        while b.cycle() < until {
+            a.step();
+            b.step();
+            for node in 0..b.config().num_nodes() {
+                assert_eq!(
+                    a.peek_regs(node),
+                    b.peek_regs(node),
+                    "cycle {} node {node}",
+                    b.cycle()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn burst_idle_burst_matches_register_for_register() {
+        // Routers fall asleep after the first burst drains, sleep
+        // through the gap, and are woken by neighbours' flits (input
+        // wake) and by their own due stimuli (timed wake) in the second.
+        let cfg = NetworkConfig::new(4, 3, Topology::Torus, 2);
+        let mut a = SeqNoc::new(cfg, IfaceConfig::default());
+        let mut b = CompiledNoc::new(cfg, IfaceConfig::default());
+        let n = cfg.num_nodes();
+        for burst_at in [0u64, 400] {
+            // Two sources, a packet every 25 cycles each: the routers on
+            // the paths doze off between flits.
+            for (node, vc) in [(0usize, 0usize), (7, 3)] {
+                for k in 0..4u64 {
+                    let dest = cfg
+                        .shape
+                        .coord(NodeId(((node as u64 + 5 + k) % n as u64) as u16));
+                    let e = head_tail(burst_at + 25 * k, dest);
+                    assert!(a.push_stim(node, vc, e));
+                    assert!(b.push_stim(node, vc, e));
+                }
+            }
+            lockstep(&mut a, &mut b, burst_at + 400);
+        }
+        let mut delivered = 0;
+        for node in 0..n {
+            let got = b.drain_delivered(node);
+            delivered += got.len();
+            assert_eq!(a.drain_delivered(node), got);
+            assert_eq!(a.drain_access(node), b.drain_access(node));
+        }
+        assert_eq!(delivered, 16);
+        let g = b.engine().gating_stats();
+        assert!(g.skipped_frac() > 0.5, "the gaps dominate: {g:?}");
+        assert!(g.input_wakes > 0 && g.timed_wakes > 0, "{g:?}");
+    }
+
+    #[test]
+    fn idle_network_sleeps_after_its_first_cycle() {
+        let cfg = NetworkConfig::new(6, 6, Topology::Torus, 2);
+        let mut e = CompiledNoc::new(cfg, IfaceConfig::default());
+        e.try_run(10_000).unwrap();
+        let ops = e.engine().program().ops.len() as u64;
+        let g = e.engine().gating_stats();
+        assert_eq!(g.ops_executed, ops, "only cycle 0 is evaluated");
+        assert_eq!(g.ops_skipped, 9_999 * ops);
+        assert_eq!(g.fast_forwarded_cycles, 9_999);
+        assert_eq!((g.input_wakes, g.timed_wakes), (0, 0));
+        // The FPGA still pays one delta per router per cycle.
+        let stats = e.delta_stats().unwrap();
+        assert_eq!(stats.system_cycles, 10_000);
+        assert_eq!(stats.delta_cycles, 10_000 * 36);
+        assert_eq!(stats.deltas_last_cycle, 36);
+    }
+
+    #[test]
+    fn far_future_stimulus_fires_on_its_exact_cycle() {
+        let cfg = NetworkConfig::new(3, 3, Topology::Torus, 4);
+        let mut a = SeqNoc::new(cfg, IfaceConfig::default());
+        let mut b = CompiledNoc::new(cfg, IfaceConfig::default());
+        let e = head_tail(5_000, Coord::new(2, 1));
+        assert!(a.push_stim(0, 1, e));
+        assert!(b.push_stim(0, 1, e));
+        a.run(6_000);
+        b.try_run(6_000).unwrap();
+        let acc = b.drain_access(0);
+        assert_eq!(acc.len(), 1);
+        assert_eq!(
+            (acc[0].ts, acc[0].delay),
+            (5_000, 0),
+            "injected the cycle it came due"
+        );
+        assert_eq!(a.drain_access(0), acc);
+        let dest = cfg.shape.node_id(Coord::new(2, 1)).index();
+        let got = b.drain_delivered(dest);
+        assert_eq!(got.len(), 1);
+        assert_eq!(a.drain_delivered(dest), got);
+        for node in 0..cfg.num_nodes() {
+            assert_eq!(a.peek_regs(node), b.peek_regs(node), "node {node}");
+        }
+        assert_eq!(a.delta_stats().unwrap().system_cycles, 6_000);
+        let g = b.engine().gating_stats();
+        assert_eq!(g.timed_wakes, 1, "{g:?}");
+        assert!(g.fast_forwarded_cycles > 5_900, "{g:?}");
+    }
+
+    #[test]
+    fn try_run_equals_stepping_with_pushes_into_a_sleeping_network() {
+        // Same host schedule on both: chunks of 300/212 cycles with a
+        // push in between, landing in a network that is entirely asleep
+        // (the first chunk outlasts the first packet by far).
+        let cfg = NetworkConfig::new(3, 3, Topology::Torus, 2);
+        let mut seq = SeqNoc::new(cfg, IfaceConfig::default());
+        let mut run = CompiledNoc::new(cfg, IfaceConfig::default());
+        let mut step = CompiledNoc::new(cfg, IfaceConfig::default());
+        let mut t = 0u64;
+        for (chunk, node, dest) in [
+            (300u64, 0usize, Coord::new(2, 2)),
+            (212, 4, Coord::new(0, 1)),
+            (300, 8, Coord::new(1, 1)),
+        ] {
+            // Due 40 cycles into the chunk: a timed wake inside it.
+            let e = head_tail(t + 40, dest);
+            assert!(seq.push_stim(node, 2, e));
+            assert!(run.push_stim(node, 2, e));
+            assert!(step.push_stim(node, 2, e));
+            seq.run(chunk);
+            run.try_run(chunk).unwrap();
+            for _ in 0..chunk {
+                step.try_step().unwrap();
+            }
+            t += chunk;
+            assert_eq!(run.cycle(), t);
+            assert_eq!(run.delta_stats(), step.delta_stats(), "cycle {t}");
+            assert_eq!(run.save_state(), step.save_state(), "cycle {t}: raw state");
+            for node in 0..cfg.num_nodes() {
+                assert_eq!(
+                    seq.peek_regs(node),
+                    run.peek_regs(node),
+                    "cycle {t} node {node}"
+                );
+            }
+            let (g, gs) = (run.engine().gating_stats(), step.engine().gating_stats());
+            assert_eq!(g.ops_skipped, gs.ops_skipped, "cycle {t}");
+            assert_eq!(
+                g.ops_executed + g.ops_skipped,
+                t * run.engine().program().ops.len() as u64
+            );
+        }
+        assert!(run.engine().gating_stats().fast_forwarded_cycles > 500);
+        assert_eq!(step.engine().gating_stats().fast_forwarded_cycles, 0);
+        for node in 0..cfg.num_nodes() {
+            assert_eq!(seq.drain_delivered(node), run.drain_delivered(node));
         }
     }
 

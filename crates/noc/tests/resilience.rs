@@ -150,6 +150,93 @@ fn scalar_resume_from_checkpoint_is_bit_identical() {
 }
 
 #[test]
+fn faults_among_sleeping_routers_replay_bit_identically() {
+    // The compiled engine puts idle routers to sleep; a fault plan must
+    // still replay register for register. Node 5 stalls while it and its
+    // neighbours sleep (its room outputs drop and come back: the
+    // neighbours are woken by the changed links), and node 10 reads a
+    // payload-flipping link that is idle most of the run (idle words
+    // pass a flip unchanged — no phantom flit — and a router with any
+    // fault never sleeps, so the flits that do pass are hit on time).
+    use noc_types::fault::{FaultPlan, LinkFault, LinkFaultKind, Window};
+    use noc_types::{Flit, FlitKind, NodeId};
+    use vc_router::StimEntry;
+    let cfg = net();
+    let n = cfg.num_nodes();
+    let mut plan = FaultPlan::new(n, 9);
+    plan.add_stall(5, Window::new(300, 340));
+    for dir in 0..4 {
+        plan.add_link_fault(
+            10,
+            dir,
+            LinkFault {
+                window: Window::new(1, 2_000),
+                kind: LinkFaultKind::BitFlip { mask: 0x0F0F },
+            },
+        );
+    }
+    let plan = Arc::new(plan);
+    let mut seq = SeqNoc::with_faults(cfg, IfaceConfig::default(), Some(plan.clone()));
+    let mut faulty = CompiledNoc::with_faults(cfg, IfaceConfig::default(), Some(plan));
+    let mut clean = CompiledNoc::new(cfg, IfaceConfig::default());
+    // Three-flit packets from every node to nodes 5 and 10, in three
+    // volleys: long before the stall, inside it, long after it.
+    for (volley, ts) in [10u64, 310, 600].into_iter().enumerate() {
+        for src in 0..n {
+            let dest = cfg.shape.coord(NodeId([5, 10][(src + volley) % 2]));
+            for (i, flit) in [
+                Flit::head(dest, src as u8),
+                Flit {
+                    kind: FlitKind::Body,
+                    payload: 0x1111 * volley as u16,
+                },
+                Flit {
+                    kind: FlitKind::Tail,
+                    payload: src as u16,
+                },
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let e = StimEntry {
+                    ts: ts + i as u64,
+                    flit,
+                };
+                for engine in [&mut seq as &mut dyn NocEngine, &mut faulty, &mut clean] {
+                    assert!(engine.push_stim(src, 1, e));
+                }
+            }
+        }
+    }
+    for cycle in 0..900 {
+        seq.step();
+        faulty.step();
+        for node in 0..n {
+            assert_eq!(
+                seq.peek_regs(node),
+                faulty.peek_regs(node),
+                "cycle {cycle} node {node}"
+            );
+        }
+    }
+    clean.run(900);
+    let mut bites = false;
+    for node in 0..n {
+        let got = faulty.drain_delivered(node);
+        assert_eq!(seq.drain_delivered(node), got, "node {node}");
+        assert_eq!(seq.drain_access(node), faulty.drain_access(node));
+        bites |= clean.drain_delivered(node) != got;
+    }
+    assert!(bites, "the plan had no observable effect");
+    let g = faulty.engine().gating_stats();
+    assert!(g.skipped_frac() > 0.5, "most of the run is idle: {g:?}");
+    assert!(
+        g.ops_executed >= 2 * 3 * 900,
+        "the two faulty routers never sleep: {g:?}"
+    );
+}
+
+#[test]
 fn corrupt_checkpoints_fall_back_then_start_fresh() {
     let dir = scratch("corrupt");
     let rc_ck = rc().checkpoint_every(256, &dir);

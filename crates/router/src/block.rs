@@ -20,14 +20,14 @@
 
 use crate::clock::clock;
 use crate::comb::{comb_fwd, comb_room, comb_select, transfers, RouterInputs, Selection};
-use crate::iface::{iface_clock, iface_pick, IfaceConfig, IfaceStore};
+use crate::iface::{iface_clock, iface_pick, IfaceConfig, IfaceStore, StimEntry};
 use crate::layout::RegisterLayout;
 use crate::regs::RouterRegs;
 use crate::routing::RouterCtx;
 use noc_types::fault::{FaultPlan, NodeFaults};
 use noc_types::flit::{room_from_bits, room_to_bits, LINK_FWD_BITS, LINK_ROOM_BITS};
 use noc_types::{Coord, LinkFwd, NetworkConfig, Port, NUM_PORTS, NUM_VCS};
-use seqsim::compile::CompiledExec;
+use seqsim::compile::{CompiledExec, Wake};
 use seqsim::{BitExpr, BitSemantics, BlockKind, CombInputs, SideView};
 use std::sync::Arc;
 
@@ -410,8 +410,13 @@ impl BlockKind for CreditStage {
 ///   (the only combinational feed-through the kind declares);
 /// * update — stimuli pick, `clock`, `iface_clock`, registers advanced
 ///   in place.
+///
+/// The update first tests whether the clock edge is a no-op (see
+/// [`idle_wake`](Self::idle_wake)) and, if so, returns the [`Wake`] hint
+/// without doing the work, which lets the engine put the router to
+/// sleep.
 #[derive(Debug, Clone)]
-struct CompiledRouter {
+pub struct CompiledRouter {
     cfg: NetworkConfig,
     iface_cfg: IfaceConfig,
     coords: Vec<Coord>,
@@ -436,6 +441,52 @@ impl CompiledRouter {
             topology: self.cfg.topology,
             depth: self.cfg.router.queue_depth,
         }
+    }
+
+    /// The decoded register file of `instance` as of the last completed
+    /// cycle — the host's memory peek, without a pack/unpack round trip.
+    pub fn regs(&self, instance: usize) -> &RouterRegs {
+        &self.regs[instance]
+    }
+
+    /// If this clock edge changes nothing, how long that stays true.
+    ///
+    /// The edge is a no-op when no flit arrives (no valid forward input,
+    /// no stimulus `pick`), none can leave (all 20 queues empty, which
+    /// also makes the arbitration empty and the local output idle) and
+    /// the host's write pointers equal their shadows. It stays one while
+    /// the input links keep their words, until the first pending
+    /// stimulus comes due: rings are pre-loaded a whole period ahead, so
+    /// a loaded router answers [`Wake::At`] that timestamp instead of
+    /// staying awake. With the queues empty the outputs are idle forward
+    /// words and all-room whatever the inputs are, so the words last
+    /// scattered stay right as well.
+    ///
+    /// A router with any fault never sleeps: stall windows and link
+    /// faults make its behaviour a function of the cycle number.
+    fn idle_wake(
+        &self,
+        instance: usize,
+        rin: &RouterInputs,
+        wr_inputs: &[u16; NUM_VCS],
+        store: &SideStore<'_, '_>,
+    ) -> Option<Wake> {
+        let regs = &self.regs[instance];
+        if !self.nf[instance].is_empty()
+            || rin.fwd_in.iter().any(|w| w.valid)
+            || *wr_inputs != regs.iface.stim_wr_shadow
+            || regs.queues.iter().any(|q| !q.is_empty())
+        {
+            return None;
+        }
+        let due = (0..NUM_VCS)
+            .filter(|&v| regs.iface.stim_wr_shadow[v] != regs.iface.stim_rd[v])
+            .map(|v| {
+                let slot = regs.iface.stim_rd[v] as usize % self.iface_cfg.stim_cap;
+                StimEntry::from_bits(store.stim_read(v, slot)).ts
+            })
+            .min();
+        Some(due.map_or(Wake::OnInput, Wake::At))
     }
 }
 
@@ -508,10 +559,16 @@ impl CompiledExec for CompiledRouter {
         }
     }
 
-    fn update(&mut self, instance: usize, inputs: &[u64], cycle: u64, side: &mut SideView<'_>) {
+    fn update(
+        &mut self,
+        instance: usize,
+        inputs: &[u64],
+        cycle: u64,
+        side: &mut SideView<'_>,
+    ) -> Wake {
         if self.nf[instance].stalled(cycle) {
             // Registers held, no side effects — `eval`'s early return.
-            return;
+            return Wake::Next;
         }
         let ctx = self.ctx(instance);
         let iface_cfg = self.iface_cfg;
@@ -535,20 +592,45 @@ impl CompiledExec for CompiledRouter {
         if let Some((vc, entry)) = pick {
             rin.fwd_in[Port::Local.index()] = LinkFwd::flit(vc, entry.flit);
         }
+        let wr_inputs: [u16; NUM_VCS] = core::array::from_fn(|v| inputs[IN_WRPTR0 + v] as u16);
+        let idle = self.idle_wake(instance, &rin, &wr_inputs, &store);
         let sel = self.sel[instance];
         let fwd_local = self.fwd[instance][Port::Local.index()];
-        let regs = &mut self.regs[instance];
-        clock(regs, &ctx, &rin, Some(&sel));
-        let wr_inputs: [u16; NUM_VCS] = core::array::from_fn(|v| inputs[IN_WRPTR0 + v] as u16);
-        iface_clock(
-            &mut regs.iface,
-            &iface_cfg,
-            &mut store,
-            pick,
-            fwd_local,
-            wr_inputs,
-            cycle,
-        );
+        let mut edge = |regs: &mut RouterRegs| {
+            clock(regs, &ctx, &rin, Some(&sel));
+            iface_clock(
+                &mut regs.iface,
+                &iface_cfg,
+                &mut store,
+                pick,
+                fwd_local,
+                wr_inputs,
+                cycle,
+            );
+        };
+        match idle {
+            Some(wake) => {
+                // Debug builds hold the predicate to its word: the edge,
+                // taken on a copy, must leave registers and rings alone.
+                if cfg!(debug_assertions) {
+                    let mut copy = self.regs[instance];
+                    edge(&mut copy);
+                    assert!(
+                        copy == self.regs[instance] && !fwd_local.valid,
+                        "router {instance}: idle predicate held on a working edge in cycle {cycle}"
+                    );
+                }
+                wake
+            }
+            None => {
+                edge(&mut self.regs[instance]);
+                Wake::Next
+            }
+        }
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 }
 

@@ -32,6 +32,9 @@ pub struct ProfileEntry {
     pub evals: u64,
     /// Evaluations that were HBR-forced re-evaluations.
     pub hbr_retries: u64,
+    /// Evaluations an activity-gated engine skipped because the block
+    /// was asleep (not part of `evals`; 0 on ungated engines).
+    pub skipped: u64,
     /// Estimated self time in nanoseconds (sampled, then scaled to the
     /// full eval count).
     pub self_ns: u64,
@@ -117,6 +120,11 @@ impl ProfileReport {
         self.entries.iter().map(|e| e.evals).sum()
     }
 
+    /// Total gate-skipped evaluations across all blocks.
+    pub fn skipped_total(&self) -> u64 {
+        self.entries.iter().map(|e| e.skipped).sum()
+    }
+
     /// The `n` hottest blocks by self time (ties broken by eval count,
     /// then block index for determinism).
     pub fn hotspots(&self, n: usize) -> Vec<&ProfileEntry> {
@@ -193,6 +201,8 @@ impl ProfileReport {
             out.push_str(&e.evals.to_string());
             out.push_str(",\"hbr_retries\":");
             out.push_str(&e.hbr_retries.to_string());
+            out.push_str(",\"skipped\":");
+            out.push_str(&e.skipped.to_string());
             out.push_str(",\"self_ns\":");
             out.push_str(&e.self_ns.to_string());
             out.push('}');
@@ -249,6 +259,8 @@ impl ProfileReport {
                 fixed_point: matches!(b.get("fixed_point"), Some(JsonValue::Bool(true))),
                 evals: u(b, "evals")?,
                 hbr_retries: u(b, "hbr_retries")?,
+                // Absent in profiles written before gating existed.
+                skipped: b.get("skipped").and_then(JsonValue::u64).unwrap_or(0),
                 self_ns: u(b, "self_ns")?,
             });
         }
@@ -328,6 +340,7 @@ mod tests {
                     fixed_point: true,
                     evals: 400,
                     hbr_retries: 40,
+                    skipped: 0,
                     self_ns: 9000,
                 },
                 ProfileEntry {
@@ -337,6 +350,7 @@ mod tests {
                     fixed_point: false,
                     evals: 100,
                     hbr_retries: 0,
+                    skipped: 25,
                     self_ns: 1000,
                 },
             ],

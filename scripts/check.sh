@@ -65,4 +65,7 @@ if [[ -f BENCH_baseline.json && "${BENCH_SKIP_CHECK:-0}" != 1 ]]; then
         target/BENCH_kernel_smoke.json --max-drop "${BENCH_MAX_DROP:-60}"
 fi
 
+echo "==> campaign benchmark smoke (benchmark/run.sh --quick: builds offline, every digest == native's)"
+benchmark/run.sh --quick > /dev/null
+
 echo "All checks passed."

@@ -73,13 +73,14 @@ fn ns_signed(v: i64) -> String {
 fn summary(report: &ProfileReport, top: usize) {
     let total = report.self_ns_total();
     println!(
-        "profile: engine={} cycles={} wall={:.3}s self-time={} ({} blocks, {} evals)",
+        "profile: engine={} cycles={} wall={:.3}s self-time={} ({} blocks, {} evals, {} skipped)",
         report.engine,
         report.cycles,
         report.wall_s,
         ns(total),
         report.entries.len(),
-        report.evals_total()
+        report.evals_total(),
+        report.skipped_total()
     );
     if report.wall_s > 0.0 {
         println!(
@@ -89,8 +90,8 @@ fn summary(report: &ProfileReport, top: usize) {
     }
     println!("\ntop {top} blocks by self time:");
     println!(
-        "{:>5} {:>6} {:<24} {:>10} {:>12} {:>10} {:>6}",
-        "rank", "scc", "block", "self", "evals", "retries", "share"
+        "{:>5} {:>6} {:<24} {:>10} {:>12} {:>10} {:>12} {:>6}",
+        "rank", "scc", "block", "self", "evals", "retries", "skipped", "share"
     );
     for (rank, e) in report.hotspots(top).iter().enumerate() {
         let share = if total > 0 {
@@ -99,7 +100,7 @@ fn summary(report: &ProfileReport, top: usize) {
             0.0
         };
         println!(
-            "{:>5} {:>5}{} {:<24} {:>10} {:>12} {:>10} {share:>5.1}%",
+            "{:>5} {:>5}{} {:<24} {:>10} {:>12} {:>10} {:>12} {share:>5.1}%",
             rank + 1,
             e.scc,
             if e.fixed_point { "*" } else { " " },
@@ -107,6 +108,7 @@ fn summary(report: &ProfileReport, top: usize) {
             ns(e.self_ns),
             e.evals,
             e.hbr_retries,
+            e.skipped,
         );
     }
     if report.sccs.is_empty() {

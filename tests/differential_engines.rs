@@ -8,9 +8,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use noc::diff::{assert_traces_equal, collect_trace, Trace};
-use noc::EngineKind;
+use noc::{CompiledNoc, EngineKind, NativeNoc, NocEngine};
 use noc_types::{NetworkConfig, Topology};
-use traffic::{BeConfig, GtAllocator, TrafficConfig};
+use traffic::{BeConfig, GtAllocator, StimuliGenerator, TrafficConfig};
+use vc_router::IfaceConfig;
 
 fn traffic_for(net: NetworkConfig, load: f64, gt: bool, seed: u64) -> TrafficConfig {
     let gt_streams = if gt {
@@ -142,4 +143,82 @@ fn engines_agree_under_fault_plans() {
             "fault plan {seed:#x} had no observable effect"
         );
     }
+}
+
+#[test]
+fn gated_compiled_engine_tracks_native_per_cycle_and_skips_what_is_idle() {
+    // The campaign shape of the fig-1 point (6x6 torus, GT + BE 0.10,
+    // stimuli loaded a 512-cycle period ahead), then a silent stretch,
+    // then traffic again: `native` and the activity-gated compiled
+    // engine must agree register for register after every cycle, and
+    // the share of ops the gate skipped must be close to the share of
+    // router-cycles with nothing to do — queues empty and the clock
+    // edge leaving every register alone.
+    let net = NetworkConfig::new(6, 6, Topology::Torus, 2);
+    let n = net.num_nodes();
+    let mut gen = StimuliGenerator::new(TrafficConfig {
+        net,
+        be: BeConfig::fig1(0.10),
+        gt_streams: GtAllocator::new(net).auto_streams((2, 1), 2048, 128),
+        seed: 7,
+    });
+    let mut native = NativeNoc::new(net, IfaceConfig::default());
+    let mut compiled = CompiledNoc::new(net, IfaceConfig::default());
+    let (mut idle, mut total) = (0u64, 0u64);
+    let mut fig1_share = None;
+    for (t0, loaded) in [
+        (0u64, true),
+        (512, true),
+        (1024, true),
+        (1536, false),
+        (2048, true),
+    ] {
+        let w = gen.generate(t0, t0 + 512);
+        if loaded {
+            for (node, rings) in w.stim.into_iter().enumerate() {
+                for (vc, entries) in rings.into_iter().enumerate() {
+                    for e in entries {
+                        assert!(native.push_stim(node, vc, e));
+                        assert!(compiled.push_stim(node, vc, e));
+                    }
+                }
+            }
+        } else {
+            // End of the fig-1 stretch: take its reading.
+            let g = compiled.engine().gating_stats();
+            fig1_share = Some((g.skipped_frac(), idle as f64 / total as f64));
+        }
+        for cycle in t0..t0 + 512 {
+            let before: Vec<_> = (0..n).map(|node| *native.regs(node)).collect();
+            native.step();
+            compiled.step();
+            for (node, was) in before.iter().enumerate() {
+                assert_eq!(
+                    *native.regs(node),
+                    compiled.peek_regs(node),
+                    "cycle {cycle} node {node}"
+                );
+                idle +=
+                    (was == native.regs(node) && was.queues.iter().all(|q| q.is_empty())) as u64;
+                total += 1;
+            }
+        }
+        for node in 0..n {
+            assert_eq!(native.drain_delivered(node), compiled.drain_delivered(node));
+            assert_eq!(native.drain_access(node), compiled.drain_access(node));
+        }
+    }
+    let (skipped, idle_share) = fig1_share.expect("the silent period came");
+    assert!(
+        idle_share > 0.2 && (idle_share - skipped).abs() < 0.05,
+        "fig-1 stretch: {:.1} % of ops skipped, {:.1} % of router-cycles idle",
+        100.0 * skipped,
+        100.0 * idle_share
+    );
+    let g = compiled.engine().gating_stats();
+    assert!(
+        g.skipped_frac() > skipped,
+        "the silent period adds skips: {g:?}"
+    );
+    assert!(g.input_wakes > 0 && g.timed_wakes > 0, "{g:?}");
 }

@@ -109,6 +109,69 @@ fn compiled_restore_resumes_bit_identically() {
 }
 
 #[test]
+fn compiled_snapshot_of_a_sleeping_network_resumes_bit_identically() {
+    // The activity gate is not part of a snapshot: one cut while every
+    // router sleeps must resume identically in the engine it was taken
+    // from (asleep at restore time), in that engine after it has been
+    // driven on (busy at restore time), and in a fresh engine (never
+    // slept) — and identically to the interpreting engine throughout.
+    let net = NetworkConfig::new(3, 3, Topology::Torus, 2);
+    let n = net.num_nodes();
+    let t = TrafficConfig {
+        net,
+        be: BeConfig::fig1(0.2),
+        gt_streams: Vec::new(),
+        seed: 2718,
+    };
+    let mut seq = SeqNoc::new(net, IfaceConfig::default());
+    let mut e = CompiledNoc::new(net, IfaceConfig::default());
+    let mut gen_seq = StimuliGenerator::new(t.clone());
+    let mut gen = StimuliGenerator::new(t);
+    load_window(&mut seq, &mut gen_seq, 0, 100);
+    load_window(&mut e, &mut gen, 0, 100);
+    seq.run(600);
+    e.run(600);
+    assert_eq!(drain_all(&mut seq, n), drain_all(&mut e, n));
+    let asleep = e.engine().gating_stats();
+    e.run(50);
+    assert_eq!(
+        e.engine().gating_stats().ops_executed,
+        asleep.ops_executed,
+        "the network must be fully asleep at the cut"
+    );
+    seq.run(50);
+    let bytes = e.save_state().unwrap();
+    // Nothing is offered over the cut; traffic resumes at 700.
+    let _ = (gen_seq.generate(100, 700), gen.generate(100, 700));
+    let gen_snap = gen.clone();
+
+    let resume = |e: &mut CompiledNoc, mut gen: StimuliGenerator| {
+        assert_eq!(e.cycle(), 650);
+        // Timestamps lie ahead of the cut: timed wakes after a restore.
+        load_window(e, &mut gen, 700, 900);
+        e.run(400);
+        let words: Vec<Vec<u64>> = (0..n).map(|b| e.engine().peek_state(b)).collect();
+        (drain_all(e, n), words, e.delta_stats().unwrap())
+    };
+    e.load_state(&bytes).unwrap();
+    let first = resume(&mut e, gen_snap.clone());
+    e.load_state(&bytes).unwrap();
+    let again = resume(&mut e, gen_snap.clone());
+    let mut fresh = CompiledNoc::new(net, IfaceConfig::default());
+    fresh.load_state(&bytes).unwrap();
+    let in_fresh = resume(&mut fresh, gen_snap);
+    assert_eq!(first, again, "restore into the busy engine diverged");
+    assert_eq!(first, in_fresh, "restore into a fresh engine diverged");
+
+    load_window(&mut seq, &mut gen_seq, 700, 900);
+    seq.run(400);
+    assert_eq!(drain_all(&mut seq, n), first.0);
+    for b in 0..n {
+        assert_eq!(seq.engine().peek_state(b).to_vec(), first.1[b], "block {b}");
+    }
+}
+
+#[test]
 fn compiled_snapshot_matches_interpreting_engine_states() {
     // Checkpoints taken on the two sequential backends at the same
     // cycle under the same traffic must agree word for word — the
