@@ -61,8 +61,7 @@ impl CombInputs {
 /// A per-bit boolean expression over a block's *input port bits*: the
 /// bit-level analogue of [`CombInputs`], declared by
 /// [`BlockKind::bit_semantics`] and consumed by the `speccheck` bitflow
-/// pass (constant folding, copy propagation) and by the batched
-/// engine's packed-expression lowering.
+/// pass (constant folding, copy propagation).
 ///
 /// An expression must be a sound model of the corresponding output bit:
 /// for every reachable `(cur, inputs, cycle)` the concrete bit `eval`
@@ -257,30 +256,6 @@ pub trait BlockKind: Send {
     /// correct, just slower.
     fn compile(&self) -> Option<Box<dyn crate::compile::CompiledExec>> {
         None
-    }
-
-    /// Opt this kind into GSIM-style bitwise lane packing in the batched
-    /// engine: 64 lanes of a width-1 signal share one `u64` word, and
-    /// `eval` is called once on the packed words instead of once per
-    /// lane.
-    ///
-    /// **Proof obligation.** Returning `true` asserts all of:
-    ///
-    /// * every input and output port is exactly 1 bit wide, and
-    ///   `state_bits() == 0` and `side_rings()` is empty (the batcher
-    ///   statically rejects the kind otherwise);
-    /// * `eval` computes each output as a *lanewise bitwise* function of
-    ///   the inputs — bit `j` of every output depends only on bit `j` of
-    ///   the inputs. Shifts, adds, comparisons against the numeric value
-    ///   of an input, and any `cycle`- or `instance`-dependent behaviour
-    ///   that is not the same for all 64 bits all break this;
-    /// * the function is identical across instances of the kind.
-    ///
-    /// The static checks cover the shape constraints only; the lanewise
-    /// property is enforced empirically by the batched differential
-    /// suites. Default: `false` (per-lane evaluation, always correct).
-    fn bit_parallel(&self) -> bool {
-        false
     }
 
     /// The bit-level semantics of output `port`, if this kind models

@@ -313,10 +313,9 @@ pub enum ProgramMode {
 /// splits the driver's exact output bits into one word per bit and the
 /// gather reassembles the exact same word at every consumer, so a
 /// sliced program is bit-identical to the unsliced one by construction.
-/// The plan only decides where the per-bit representation (which the
-/// batched engine can pack 64 lanes deep) is worth the extra moves —
-/// the `speccheck` bitflow pass derives it from proven bit
-/// independence.
+/// The plan only decides where the per-bit representation is worth the
+/// extra moves — the `speccheck` bitflow pass derives it from proven
+/// bit independence.
 ///
 /// Links that cannot be sliced (width outside `2..=64`, or not
 /// block-driven) are silently skipped; fixed-point programs ignore the

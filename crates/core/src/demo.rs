@@ -224,8 +224,7 @@ pub enum GateOp {
 }
 
 /// A stateless width-1 combinational gate with *exact* declared bit
-/// semantics ([`BlockKind::bit_semantics`]) and GSIM-style lanewise
-/// packing ([`BlockKind::bit_parallel`]).
+/// semantics ([`BlockKind::bit_semantics`]).
 ///
 /// These are the demo counterpart of the router's control-plane bits:
 /// small enough that the `speccheck` bitflow pass can fold them
@@ -233,10 +232,8 @@ pub enum GateOp {
 /// bitflow soundness property suite uses random gate networks to
 /// cross-check abstract claims against concrete engine runs.
 ///
-/// `eval` deliberately leaves the output word unmasked (e.g. `!a` sets
-/// all 64 bits): the scalar engines mask on scatter, and the batched
-/// bitwise path relies on the raw word being lanewise-correct across
-/// all 64 packed lanes.
+/// `eval` leaves the output word unmasked (e.g. `!a` sets all 64
+/// bits): the engines mask on scatter.
 #[derive(Debug, Clone)]
 pub struct GateKind {
     op: GateOp,
@@ -299,10 +296,6 @@ impl BlockKind for GateKind {
             GateOp::Not => !inputs[0],
             GateOp::Buf => inputs[0],
         };
-    }
-
-    fn bit_parallel(&self) -> bool {
-        true
     }
 
     fn bit_semantics(&self, port: usize) -> Option<BitSemantics> {

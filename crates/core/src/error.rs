@@ -58,19 +58,8 @@ pub enum SimError {
         /// The stall timeout that expired, in milliseconds.
         timeout_ms: u64,
     },
-    /// A batched lane panicked (or was poisoned by the host) and was
-    /// quarantined: its state froze at `cycle` and the remaining lanes
-    /// finished untouched.
-    LaneQuarantined {
-        /// The quarantined lane index.
-        lane: usize,
-        /// System cycle at which the lane was poisoned.
-        cycle: u64,
-        /// The panic payload (or the host's quarantine reason).
-        payload: String,
-    },
-    /// A supervised campaign attempt crashed (panicked outside any
-    /// lane's isolation) and was caught by the supervisor.
+    /// A supervised campaign attempt crashed (panicked) and was caught
+    /// by the supervisor.
     Crashed {
         /// 1-based attempt number that crashed.
         attempt: u32,
@@ -113,11 +102,6 @@ impl fmt::Display for SimError {
                 f,
                 "campaign stalled: no progress past cycle {last_cycle} within {timeout_ms} ms"
             ),
-            SimError::LaneQuarantined {
-                lane,
-                cycle,
-                payload,
-            } => write!(f, "lane {lane} quarantined at cycle {cycle}: {payload}"),
             SimError::Crashed { attempt, payload } => {
                 write!(f, "campaign attempt {attempt} crashed: {payload}")
             }
@@ -164,13 +148,6 @@ mod tests {
             timeout_ms: 2000,
         };
         assert!(e.to_string().contains("4096") && e.to_string().contains("2000 ms"));
-
-        let e = SimError::LaneQuarantined {
-            lane: 2,
-            cycle: 300,
-            payload: "chaos".into(),
-        };
-        assert!(e.to_string().contains("lane 2") && e.to_string().contains("cycle 300"));
 
         let e = SimError::Crashed {
             attempt: 1,

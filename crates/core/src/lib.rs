@@ -67,7 +67,6 @@
 // unwraps. Tests may still unwrap.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod batch;
 pub mod block;
 pub mod check;
 pub mod compile;
@@ -87,7 +86,6 @@ pub mod trace;
 pub mod wire;
 pub mod worklist;
 
-pub use batch::{check_lane_structure, BatchedEngine, BatchedProgram, BatchedSnapshot};
 pub use block::{
     BitExpr, BitSemantics, BlockId, BlockInst, BlockKind, CombInputs, KindId, LinkDriver, LinkId,
     LinkSpec, SystemSpec,

@@ -24,18 +24,13 @@ use std::thread::JoinHandle;
 pub type ScopedTask<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 /// The shared worker-count knob for every parallel sweep in the
-/// workspace (the batched engine's lane groups, `par_map` in the root
-/// crate).
+/// workspace (`par_map` in the root crate).
 ///
-/// Resolution order: an `explicit` count from a builder method wins;
-/// otherwise the `SOC_SIM_THREADS` environment variable (a positive
+/// Resolution order: the `SOC_SIM_THREADS` environment variable (a positive
 /// integer; an unparsable or zero value is ignored with a once-per-process
 /// stderr warning naming it); otherwise the host's
 /// [`std::thread::available_parallelism`]. Always at least 1.
-pub fn worker_count(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
-    }
+pub fn worker_count() -> usize {
     if let Ok(v) = std::env::var("SOC_SIM_THREADS") {
         match v.trim().parse::<usize>() {
             Ok(n) if n > 0 => return n,

@@ -26,7 +26,6 @@
 //! [`SimBuilder::register`]. The `soc_sim` meta-crate's `sim(cfg)`
 //! pre-registers both, so end users never see the difference.
 
-use crate::batched::BatchedNoc;
 use crate::compiled::CompiledNoc;
 use crate::engine::NocEngine;
 use crate::native::NativeNoc;
@@ -49,9 +48,6 @@ pub enum EngineKind {
     /// The sequential simulator (paper scheduling: HBR + round-robin
     /// worklist).
     Seq,
-    /// The sequential simulator with the naive full-rescan scheduler
-    /// (ablation baseline).
-    SeqNaive,
     /// The sequential simulator's hybrid schedule lowered, at build
     /// time, into a flat bytecode kernel over one contiguous arena
     /// ([`crate::CompiledNoc`]). Bit-identical to [`EngineKind::Seq`],
@@ -70,19 +66,6 @@ pub enum EngineKind {
         /// Worker/shard count (clamped to the node count; 1 runs inline).
         threads: usize,
     },
-    /// The lane-batched engine: `lanes` independent simulations of one
-    /// topology (per-lane fault plans, stimuli and seeds) advanced in
-    /// lockstep by a single walk of the compiled bytecode over an
-    /// arena-of-lanes ([`crate::BatchedNoc`]). Each lane is bit-identical
-    /// to [`EngineKind::SeqCompiled`] with that lane's configuration.
-    ///
-    /// Not a single [`NocEngine`] — build through
-    /// [`SimBuilder::session`] and drive lanes via
-    /// [`Session::run_each`](crate::Session::run_each).
-    Batched {
-        /// Number of simulation lanes in the batch.
-        lanes: usize,
-    },
 }
 
 impl EngineKind {
@@ -91,12 +74,10 @@ impl EngineKind {
         match self {
             EngineKind::Native => "native",
             EngineKind::Seq => "seqsim",
-            EngineKind::SeqNaive => "seqsim-naive",
             EngineKind::SeqCompiled => "seqsim-compiled",
             EngineKind::CycleSim => "systemc",
             EngineKind::Rtl => "rtl",
             EngineKind::Sharded { .. } => "seqsim-sharded",
-            EngineKind::Batched { .. } => "seqsim-batched",
         }
     }
 }
@@ -130,9 +111,6 @@ pub struct SimBuilder {
     kind: EngineKind,
     schedule: SchedulePolicy,
     faults: Option<Arc<FaultPlan>>,
-    lane_faults: Option<Vec<Option<Arc<FaultPlan>>>>,
-    packed_control: bool,
-    threads: Option<usize>,
     run_config: RunConfig,
     profile: Option<u64>,
     factories: Vec<(EngineKind, EngineFactory)>,
@@ -148,9 +126,6 @@ impl SimBuilder {
             kind: EngineKind::Seq,
             schedule: SchedulePolicy::default(),
             faults: None,
-            lane_faults: None,
-            packed_control: false,
-            threads: None,
             run_config: RunConfig::default(),
             profile: None,
             factories: Vec::new(),
@@ -186,46 +161,6 @@ impl SimBuilder {
             "fault plan sized for a different network"
         );
         self.faults = Some(plan);
-        self
-    }
-
-    /// Per-lane fault plans for [`EngineKind::Batched`] — the
-    /// lane-divergent *contents* the batch lint allows (topology must
-    /// stay identical). `None` entries run clean. Scalar kinds ignore
-    /// this; a batched session without it falls back to broadcasting
-    /// [`faults`](Self::faults) (or clean lanes) across the batch.
-    pub fn lane_faults(mut self, plans: Vec<Option<Arc<FaultPlan>>>) -> Self {
-        for (lane, plan) in plans.iter().enumerate() {
-            if let Some(p) = plan {
-                assert_eq!(
-                    p.num_nodes(),
-                    self.cfg.num_nodes(),
-                    "lane {lane} fault plan sized for a different network"
-                );
-            }
-        }
-        self.lane_faults = Some(plans);
-        self
-    }
-
-    /// Enable the **packed control plane** for [`EngineKind::Batched`]:
-    /// credit links are routed through `CreditStage` identity blocks,
-    /// the bitflow analysis proves them bit-independent, and the batched
-    /// compiler slices them into per-bit sub-words evaluated as packed
-    /// 64-lanes-per-op bitwise expressions
-    /// ([`BatchedNoc::with_packed_control`]). Observable behaviour is
-    /// bit-identical to the default build. Scalar kinds ignore it.
-    pub fn packed_control(mut self, enabled: bool) -> Self {
-        self.packed_control = enabled;
-        self
-    }
-
-    /// Worker threads for the batched engine's lane groups. Unset, the
-    /// shared knob applies: the `SOC_SIM_THREADS` environment variable,
-    /// then the machine's available parallelism
-    /// ([`seqsim::pool::worker_count`]).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
         self
     }
 
@@ -278,8 +213,7 @@ impl SimBuilder {
     /// For the sequential kinds the `speccheck` analyzer runs on the
     /// assembled spec first: error-severity diagnostics refuse the
     /// build, and under [`SchedulePolicy::Auto`] the derived hybrid
-    /// schedule is adopted ([`EngineKind::Seq`] only — the naive kind
-    /// exists precisely to keep the unoptimised scheduler measurable).
+    /// schedule is adopted ([`EngineKind::Seq`] only).
     pub fn try_build(self) -> Result<Box<dyn NocEngine>, SimError> {
         let profile = self.profile;
         let mut engine = self.try_build_engine()?;
@@ -317,20 +251,6 @@ impl SimBuilder {
                 }
                 Ok(Box::new(seq))
             }
-            EngineKind::SeqNaive => {
-                let seq = SeqNoc::with_depths_scheduling_faults(
-                    self.cfg,
-                    self.iface,
-                    &depths,
-                    Scheduling::HbrRoundRobinNaive,
-                    self.faults,
-                );
-                let analysis = speccheck::analyze_spec(seq.engine().spec());
-                if analysis.has_errors() {
-                    return Err(config_error(&analysis));
-                }
-                Ok(Box::new(seq))
-            }
             EngineKind::SeqCompiled => {
                 let compiled = CompiledNoc::with_faults(self.cfg, self.iface, self.faults);
                 let analysis = speccheck::analyze_spec(compiled.engine().spec());
@@ -345,11 +265,6 @@ impl SimBuilder {
                 threads,
                 self.faults,
             ))),
-            EngineKind::Batched { lanes } => Err(SimError::Config(format!(
-                "the batched engine drives {lanes} lanes and is not a single NocEngine; \
-                 build it through SimBuilder::session() and drive it via Session::run_each \
-                 (or Session::batched_mut for direct lane access)"
-            ))),
             kind @ (EngineKind::CycleSim | EngineKind::Rtl) => Err(SimError::Config(format!(
                 "engine kind {kind:?} is implemented outside the noc crate; \
                  build it through soc_sim::sim(cfg), or register a factory: \
@@ -359,10 +274,8 @@ impl SimBuilder {
     }
 
     /// Build a typed [`Session`]: the engine plus its run parameters,
-    /// with [`Session::run`](crate::Session::run) /
-    /// [`Session::run_each`](crate::Session::run_each) replacing the
-    /// free-function runner. This is the only way to build
-    /// [`EngineKind::Batched`]; every scalar kind works too.
+    /// with [`Session::run`](crate::Session::run) replacing the
+    /// free-function runner.
     ///
     /// ```
     /// use noc::{EngineKind, RunConfig, SimBuilder};
@@ -370,52 +283,20 @@ impl SimBuilder {
     ///
     /// let cfg = NetworkConfig::new(3, 3, Topology::Torus, 4);
     /// let mut session = SimBuilder::new(cfg)
-    ///     .engine(EngineKind::Batched { lanes: 2 })
+    ///     .engine(EngineKind::SeqCompiled)
     ///     .run_config(RunConfig::new().warmup(100).cycles(400).drain(200))
     ///     .session()
     ///     .expect("clean network");
-    /// let reports = session.run_fig1(0.05, 7).expect("clean run");
-    /// assert_eq!(reports.len(), 2);
+    /// let report = session.run_fig1(0.05, 7).expect("clean run");
+    /// assert!(!report.saturated);
     /// ```
     ///
     /// # Errors
     ///
-    /// Everything [`try_build`](Self::try_build) reports, plus a
-    /// lane-count mismatch between [`EngineKind::Batched`] and
-    /// [`lane_faults`](Self::lane_faults).
+    /// Everything [`try_build`](Self::try_build) reports.
     pub fn session(self) -> Result<Session, SimError> {
-        match self.kind {
-            EngineKind::Batched { lanes } => {
-                let threads = seqsim::pool::worker_count(self.threads);
-                let lane_faults = match self.lane_faults {
-                    Some(plans) => {
-                        if plans.len() != lanes {
-                            return Err(SimError::Config(format!(
-                                "EngineKind::Batched {{ lanes: {lanes} }} with {} lane_faults \
-                                 entries — give exactly one (possibly None) per lane",
-                                plans.len()
-                            )));
-                        }
-                        plans
-                    }
-                    None => vec![self.faults; lanes],
-                };
-                let mut noc = if self.packed_control {
-                    BatchedNoc::with_packed_control(self.cfg, self.iface, lane_faults, threads)?
-                } else {
-                    BatchedNoc::with_faults(self.cfg, self.iface, lane_faults, threads)?
-                };
-                if let Some(sample_every) = self.profile {
-                    noc.attach_profiler(sample_every);
-                }
-                Ok(Session::from_batched(noc, self.run_config))
-            }
-            _ => {
-                let rc = self.run_config.clone();
-                let engine = self.try_build()?;
-                Ok(Session::scalar(engine, rc))
-            }
-        }
+        let rc = self.run_config.clone();
+        Ok(Session::new(self.try_build()?, rc))
     }
 }
 
@@ -447,7 +328,6 @@ mod tests {
         for (kind, name) in [
             (EngineKind::Native, "native"),
             (EngineKind::Seq, "seqsim"),
-            (EngineKind::SeqNaive, "seqsim"),
             (EngineKind::SeqCompiled, "seqsim-compiled"),
             (EngineKind::Sharded { threads: 2 }, "seqsim-sharded"),
         ] {
@@ -582,20 +462,6 @@ mod tests {
             .expect("native engine builds");
         native.run(5);
         assert!(native.take_profile(0.01).is_none());
-    }
-
-    #[test]
-    fn packed_control_session_runs_with_packed_ops() {
-        let mut session = SimBuilder::new(cfg())
-            .engine(EngineKind::Batched { lanes: 2 })
-            .packed_control(true)
-            .threads(1)
-            .session()
-            .expect("packed batched session builds");
-        let b = session.batched_mut().expect("batched session");
-        assert!(b.engine().program().bitwise_ops() > 0);
-        b.run(10);
-        assert_eq!(b.cycle(), 10);
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl CampaignCkpt {
 }
 
 /// FNV-1a over a campaign-identity string: engine name, network config,
-/// run extents, lane count and the config's tag. Two campaigns with the
+/// run extents and the config's tag. Two campaigns with the
 /// same fingerprint may exchange checkpoints; everything else is
 /// rejected at resume time.
 pub fn fingerprint(identity: &str) -> u64 {

@@ -74,7 +74,7 @@ impl CompiledNoc {
         depths: &[usize],
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
-        let (spec, wr_links, fwd_links) = build_noc_spec(&cfg, iface_cfg, depths, &faults, false);
+        let (spec, wr_links, fwd_links) = build_noc_spec(&cfg, iface_cfg, depths, &faults);
         // Lower the analyzer's hybrid-schedule order when one exists:
         // the compiled program visits blocks in the same condensation
         // order the interpreting engine would, so profiles and traces

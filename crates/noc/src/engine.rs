@@ -23,7 +23,8 @@ pub struct Delivered {
 
 /// A bit- and cycle-accurate NoC simulation backend.
 pub trait NocEngine {
-    /// Engine name for reports ("native", "seqsim", "systemc", "rtl").
+    /// Engine name for reports: "native", "seqsim", "seqsim-compiled",
+    /// "seqsim-sharded", "systemc" or "rtl".
     fn name(&self) -> &'static str;
 
     /// The simulated network's configuration.

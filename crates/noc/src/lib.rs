@@ -57,7 +57,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analysis;
-pub mod batched;
 pub mod build;
 pub mod check;
 pub mod ckpt;
@@ -75,7 +74,6 @@ pub mod shard;
 pub mod supervise;
 pub mod wiring;
 
-pub use batched::{BatchedNoc, BatchedNocSnapshot};
 pub use build::{EngineKind, SchedulePolicy, SimBuilder};
 pub use check::InvariantChecker;
 pub use ckpt::{CampaignCkpt, CheckpointConfig};
@@ -85,9 +83,7 @@ pub use engine::NocEngine;
 pub use fault::{random_plan, FaultPlan, InjectApplier};
 pub use native::NativeNoc;
 pub use obs::{NocObserver, ObsConfig};
-pub use runner::{
-    fig1_guarantee, run_fig1_point, run_lanes, ChaosConfig, Heartbeat, RunConfig, RunReport,
-};
+pub use runner::{fig1_guarantee, run_fig1_point, ChaosConfig, Heartbeat, RunConfig, RunReport};
 pub use seq::SeqNoc;
 pub use seqsim::SimError;
 pub use session::Session;

@@ -13,7 +13,6 @@
 //! written later; a network that stops accepting traffic for too long is
 //! reported as overloaded and the simulation stops (§5.3).
 
-use crate::batched::BatchedNoc;
 use crate::check::InvariantChecker;
 use crate::ckpt::{self, CampaignCkpt, CheckpointConfig};
 use crate::engine::NocEngine;
@@ -182,8 +181,6 @@ pub struct RunConfig {
     /// simulate-phase advance. Attached by the supervisor.
     pub heartbeat: Option<Heartbeat>,
     /// Runner-level fault injection (panic/hang) for chaos testing.
-    /// Scalar runs only; batched lanes are poisoned through
-    /// [`BatchedNoc::poison_lane_at`] instead.
     pub chaos: Option<ChaosConfig>,
 }
 
@@ -265,16 +262,6 @@ impl RunConfig {
     pub fn check(mut self, on: bool) -> Self {
         self.check = on;
         self
-    }
-
-    /// Builder-style: attach an observability bundle.
-    pub fn with_obs(self, obs: ObsConfig) -> Self {
-        self.obs(obs)
-    }
-
-    /// Builder-style: enable the runtime invariant checker.
-    pub fn with_check(self) -> Self {
-        self.check(true)
     }
 
     /// Cut a durable checkpoint every `every` cycles into `dir` (keeping
@@ -394,9 +381,7 @@ impl RunReport {
 
 /// Phase-5 delivery analysis for one simulation: the offered-packet
 /// journal, per-node worm reassembly, latency/throughput accounting and
-/// the fault-anomaly ledger. One instance per scalar run; one per *lane*
-/// of a batched run — the analysis is identical either way, which is
-/// what makes the lane-vs-scalar differential meaningful.
+/// the fault-anomaly ledger.
 struct DeliveryAnalyzer {
     cfg: NetworkConfig,
     faulty: bool,
@@ -699,9 +684,9 @@ fn decode_received(d: &mut Dec<'_>) -> Result<ReceivedPacket, WireError> {
     })
 }
 
-/// Serialize the host side of one lane (or of the one scalar "lane"):
-/// analyzer, backlog queues, pushed-flit count and the optional inject
-/// applier and invariant-checker ledgers.
+/// Serialize the host side of a run: analyzer, backlog queues,
+/// pushed-flit count and the optional inject applier and
+/// invariant-checker ledgers.
 fn encode_lane_state(
     e: &mut Enc,
     an: &DeliveryAnalyzer,
@@ -794,11 +779,13 @@ fn decode_lane_state(
 }
 
 /// The campaign identity a checkpoint is fingerprinted with: engine
-/// name, network config, run extents, lane count and the caller's tag.
-fn campaign_fingerprint(engine: &str, cfg: &NetworkConfig, rc: &RunConfig, lanes: usize) -> u64 {
+/// name, network config, run extents and the caller's tag. The constant
+/// `l1` field is part of the on-disk format: dropping it would change
+/// every fingerprint and orphan the checkpoints already written.
+fn campaign_fingerprint(engine: &str, cfg: &NetworkConfig, rc: &RunConfig) -> u64 {
     let tag = rc.checkpoint.as_ref().map_or(0, |c| c.tag);
     ckpt::fingerprint(&format!(
-        "{engine}|{cfg:?}|w{}|m{}|d{}|p{}|l{lanes}|t{tag}",
+        "{engine}|{cfg:?}|w{}|m{}|d{}|p{}|l1|t{tag}",
         rc.warmup, rc.measure, rc.drain, rc.period
     ))
 }
@@ -873,7 +860,7 @@ pub(crate) fn run_impl(
     let total_end = gen_end + rc.drain;
 
     let ck_cfg = rc.checkpoint.clone();
-    let fp = campaign_fingerprint(engine.name(), &cfg, rc, 1);
+    let fp = campaign_fingerprint(engine.name(), &cfg, rc);
     let mut ckpt_enabled = ck_cfg.is_some();
     let mut last_ckpt = 0u64;
     let mut checkpoints_written = 0u64;
@@ -1278,357 +1265,6 @@ pub(crate) fn fig1_generator(cfg: NetworkConfig, be_load: f64, seed: u64) -> Sti
         gt_streams,
         seed,
     })
-}
-
-/// The five-phase loop over a *batched* engine: one stimuli generator
-/// per lane; per-lane generate / load / retrieve / analyse around one
-/// shared simulate phase that advances every lane in lockstep.
-///
-/// Returns one `Result<RunReport, SimError>` per lane. The per-lane
-/// delivery analysis is exactly the scalar loop's, so each healthy
-/// lane's report is directly comparable to a scalar run of that lane's
-/// configuration — the batched differential suite asserts equality.
-///
-/// **Graceful degradation:** a lane that panics inside the kernel (or
-/// trips a delivery-protocol invariant during analysis) is quarantined —
-/// masked out of the activity set, its state frozen at the failure cycle
-/// — and the remaining lanes finish untouched and bit-identical to a
-/// run without the sick lane. The quarantined lane's slot carries
-/// [`SimError::LaneQuarantined`] (or the tripped invariant).
-///
-/// Any *healthy* lane saturating stops the whole batch: lanes share one
-/// clock, so a stalled lane would distort every lane's drain window.
-/// Each report carries the shared verdict in [`RunReport::saturated`].
-///
-/// [`RunConfig::checkpoint`] and [`RunConfig::heartbeat`] work as in
-/// the scalar loop (the checkpoint covers every lane, quarantine state
-/// included, in one file). [`RunConfig::chaos`] is scalar-only — poison
-/// a lane through [`BatchedNoc::poison_lane_at`] instead.
-///
-/// # Errors
-///
-/// The *outer* error is campaign-fatal: [`SimError::Config`] when the
-/// generator count does not match the lane count, when
-/// [`RunConfig::obs`] / [`RunConfig::check`] / [`RunConfig::chaos`] are
-/// set (scalar-only), when a resume checkpoint is malformed, or when the
-/// supervisor cancels the run. Per-lane failures come back in the inner
-/// `Result`s.
-pub fn run_lanes(
-    noc: &mut BatchedNoc,
-    gens: &mut [StimuliGenerator],
-    rc: &RunConfig,
-) -> Result<Vec<Result<RunReport, SimError>>, SimError> {
-    let lanes = noc.lanes();
-    if gens.len() != lanes {
-        return Err(SimError::Config(format!(
-            "batched run needs one stimuli generator per lane: {} generators, {lanes} lanes",
-            gens.len()
-        )));
-    }
-    if rc.obs.is_some() {
-        return Err(SimError::Config(
-            "RunConfig::obs is not supported for batched runs (scalar engines only)".into(),
-        ));
-    }
-    if rc.check {
-        return Err(SimError::Config(
-            "RunConfig::check is not supported for batched runs (scalar engines only)".into(),
-        ));
-    }
-    if rc.chaos.is_some() {
-        return Err(SimError::Config(
-            "RunConfig::chaos is not supported for batched runs; \
-             use BatchedNoc::poison_lane_at to poison a lane"
-                .into(),
-        ));
-    }
-    let cfg = noc.config();
-    let n = cfg.num_nodes();
-    let started = Instant::now();
-    let mut prof = PhaseProfiler::new();
-
-    let mut analyzers: Vec<DeliveryAnalyzer> = (0..lanes)
-        .map(|lane| DeliveryAnalyzer::new(cfg, noc.fault_plan(lane).is_some(), rc))
-        .collect();
-    let mut injects: Vec<Option<InjectApplier>> = (0..lanes)
-        .map(|lane| {
-            noc.fault_plan(lane)
-                .and_then(|p| InjectApplier::from_plan(p, n))
-        })
-        .collect();
-    let mut backlog: Vec<Vec<[VecDeque<StimEntry>; NUM_VCS]>> = (0..lanes)
-        .map(|_| {
-            (0..n)
-                .map(|_| core::array::from_fn(|_| VecDeque::new()))
-                .collect()
-        })
-        .collect();
-    let mut pushed: Vec<u64> = vec![0; lanes];
-    let mut saturated = false;
-    let mut delta_reset_done = false;
-
-    // One error slot per lane; a filled slot takes the lane out of every
-    // subsequent phase. Pre-poisoned lanes (host called
-    // `poison_lane_at` before the run) start out quarantined.
-    let lane_quarantined = |noc: &BatchedNoc, lane: usize| {
-        noc.lane_poisoned(lane)
-            .map(|(cycle, payload)| SimError::LaneQuarantined {
-                lane,
-                cycle,
-                payload: payload.to_string(),
-            })
-    };
-    let mut lane_err: Vec<Option<SimError>> =
-        (0..lanes).map(|lane| lane_quarantined(noc, lane)).collect();
-
-    let gen_end = rc.warmup + rc.measure;
-    let total_end = gen_end + rc.drain;
-
-    let ck_cfg = rc.checkpoint.clone();
-    let fp = campaign_fingerprint("seqsim-batched", &cfg, rc, lanes);
-    let mut ckpt_enabled = ck_cfg.is_some();
-    let mut last_ckpt = 0u64;
-    let mut checkpoints_written = 0u64;
-    let mut resumed_at: Option<u64> = None;
-
-    let mut t0 = 0u64;
-    if let Some(c) = ck_cfg.as_ref().filter(|c| c.resume) {
-        let (found, _rejected) = ckpt::latest_valid(&c.dir, fp);
-        if let Some(saved) = found {
-            let bad = |e: WireError| SimError::Config(format!("campaign checkpoint: {e}"));
-            noc.load_state(&saved.engine_state)?;
-            let mut d = Dec::new(&saved.host_state);
-            for lane in 0..lanes {
-                decode_lane_state(
-                    &mut d,
-                    &mut analyzers[lane],
-                    &mut backlog[lane],
-                    &mut pushed[lane],
-                    injects[lane].as_mut(),
-                    None,
-                )
-                .map_err(bad)?;
-            }
-            if !d.finished() {
-                return Err(bad(WireError::new("trailing bytes")));
-            }
-            saturated = saved.saturated;
-            delta_reset_done = saved.delta_reset_done;
-            t0 = saved.t0;
-            last_ckpt = saved.t0;
-            resumed_at = Some(saved.t0);
-            let replay_to = saved.t0.min(gen_end);
-            if replay_to > 0 {
-                for g in gens.iter_mut() {
-                    let _ = g.generate(0, replay_to);
-                }
-            }
-            // Quarantine verdicts travel inside the engine snapshot.
-            for (lane, slot) in lane_err.iter_mut().enumerate() {
-                *slot = lane_quarantined(noc, lane);
-            }
-        }
-    }
-
-    while t0 < total_end && !saturated && lane_err.iter().any(|e| e.is_none()) {
-        let t1 = (t0 + rc.period).min(total_end);
-
-        // Phase 1: generate, per healthy lane.
-        if t0 < gen_end {
-            prof.time("generate", || {
-                for lane in 0..lanes {
-                    if lane_err[lane].is_some() {
-                        continue;
-                    }
-                    let w = gens[lane].generate(t0, t1.min(gen_end));
-                    analyzers[lane].note_offered(&w.offered);
-                    for (node, rings) in w.stim.into_iter().enumerate() {
-                        for (vc, entries) in rings.into_iter().enumerate() {
-                            let entries = match injects[lane].as_mut() {
-                                Some(ap) => ap.filter(node, vc, entries),
-                                None => entries,
-                            };
-                            backlog[lane][node][vc].extend(entries);
-                        }
-                    }
-                }
-            });
-        }
-
-        // Phase 2: load, per healthy lane (back-pressure per lane).
-        prof.time("load", || {
-            for lane in 0..lanes {
-                if lane_err[lane].is_some() {
-                    continue;
-                }
-                for node in 0..n {
-                    for vc in 0..NUM_VCS {
-                        while let Some(&e) = backlog[lane][node][vc].front() {
-                            if noc.push_stim(lane, node, vc, e) {
-                                backlog[lane][node][vc].pop_front();
-                                pushed[lane] += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        if backlog[lane][node][vc].len() > rc.backlog_limit {
-                            saturated = true;
-                        }
-                    }
-                }
-            }
-        });
-
-        // Phase 3: simulate — ONE pass advances every healthy lane (a
-        // lane that panics mid-pass is quarantined by the kernel and the
-        // others keep going).
-        if !delta_reset_done && t0 >= rc.warmup {
-            noc.reset_delta_stats();
-            delta_reset_done = true;
-        }
-        prof.time_work("simulate", t1 - t0, || -> Result<(), SimError> {
-            match rc.heartbeat.as_ref() {
-                None => noc.try_run(t1 - t0),
-                Some(hb) => {
-                    let mut c = t0;
-                    while c < t1 {
-                        let next = t1.min(c + PULSE_CHUNK);
-                        noc.try_run(next - c)?;
-                        c = next;
-                        hb.beat(c);
-                        if hb.cancelled() {
-                            return Err(SimError::Config("run cancelled by supervisor".into()));
-                        }
-                    }
-                    Ok(())
-                }
-            }
-        })?;
-        // Pick up lanes the kernel quarantined during the pass.
-        for (lane, slot) in lane_err.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = lane_quarantined(noc, lane);
-            }
-        }
-
-        // Phase 4 + 5: retrieve and analyse, per healthy lane.
-        let (retrieved, accs) = prof.time("retrieve", || {
-            let mut r: Vec<(usize, usize, Vec<OutEntry>)> = Vec::with_capacity(lanes * n);
-            let mut a: Vec<Vec<AccEntry>> = vec![Vec::new(); lanes];
-            for lane in 0..lanes {
-                if lane_err[lane].is_some() {
-                    continue;
-                }
-                for node in 0..n {
-                    r.push((lane, node, noc.drain_delivered(lane, node)));
-                    a[lane].extend(noc.drain_access(lane, node));
-                }
-            }
-            (r, a)
-        });
-        prof.time("analyse", || {
-            for (lane, acc) in accs.iter().enumerate() {
-                if lane_err[lane].is_none() {
-                    analyzers[lane].note_access(acc);
-                }
-            }
-            for (lane, node, entries) in retrieved {
-                if lane_err[lane].is_some() {
-                    continue;
-                }
-                if let Err(e) = analyzers[lane].note_delivered(node, entries) {
-                    // A delivery-protocol violation condemns this lane,
-                    // not the batch: freeze it and carry on.
-                    let cycle = noc.cycle();
-                    noc.quarantine_lane(lane, cycle, e.to_string());
-                    lane_err[lane] = Some(e);
-                }
-            }
-        });
-
-        // Checkpoint cut at the batch's quiescent point, covering every
-        // lane (quarantined ones travel inside the engine snapshot).
-        if let Some(c) = ck_cfg.as_ref() {
-            if ckpt_enabled && t1 - last_ckpt >= c.every && t1 < total_end {
-                if let Some(engine_state) = noc.save_state() {
-                    let mut e = Enc::new();
-                    for lane in 0..lanes {
-                        encode_lane_state(
-                            &mut e,
-                            &analyzers[lane],
-                            &backlog[lane],
-                            pushed[lane],
-                            injects[lane].as_ref(),
-                            None,
-                        );
-                    }
-                    let cut = CampaignCkpt {
-                        fingerprint: fp,
-                        t0: t1,
-                        saturated,
-                        delta_reset_done,
-                        engine_state,
-                        host_state: e.into_bytes(),
-                    };
-                    match ckpt::write_checkpoint(&c.dir, c.keep, &cut) {
-                        Ok(_) => {
-                            checkpoints_written += 1;
-                            last_ckpt = t1;
-                        }
-                        Err(err) => {
-                            eprintln!("warning: checkpoint at cycle {t1} failed: {err}");
-                        }
-                    }
-                } else {
-                    ckpt_enabled = false;
-                }
-            }
-        }
-
-        t0 = t1;
-    }
-
-    let cap = noc.stim_capacity();
-    let wall = started.elapsed();
-    let profile = prof.rows();
-    let cycles = noc.cycle();
-    let mut reports: Vec<Result<RunReport, SimError>> = Vec::with_capacity(lanes);
-    for (lane, an) in analyzers.into_iter().enumerate() {
-        if let Some(err) = lane_err[lane].take() {
-            reports.push(Err(err));
-            continue;
-        }
-        let ring_fill: u64 = (0..n)
-            .map(|node| {
-                (0..NUM_VCS)
-                    .map(|vc| (cap - noc.stim_free(lane, node, vc)) as u64)
-                    .sum::<u64>()
-            })
-            .sum();
-        let out = an.finish(pushed[lane].saturating_sub(ring_fill));
-        reports.push(Ok(RunReport {
-            engine: "seqsim-batched",
-            gt: out.gt,
-            be: out.be,
-            access: out.access,
-            throughput: out.throughput,
-            // Wall-clock phases are shared by the whole batch; each lane
-            // sees the same rows.
-            profile: profile.clone(),
-            delta: Some(noc.delta_stats(lane)),
-            metrics: None,
-            saturated,
-            unmatched: out.unmatched,
-            fault_anomalies: out.fault_anomalies,
-            invariant_checks: 0,
-            fault_dropped: 0,
-            checkpoints_written,
-            resumed_at,
-            wall,
-            cycles,
-        }));
-    }
-    Ok(reports)
 }
 
 /// The analytic GT guarantee for the Fig 1 workload on `cfg`'s network

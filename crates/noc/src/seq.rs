@@ -18,7 +18,7 @@ use std::sync::Arc;
 use vc_router::block::{
     IN_FWD0, IN_ROOM0, IN_WRPTR0, OUT_FWD0, OUT_ROOM0, RING_ACC, RING_OUT, RING_STIM0,
 };
-use vc_router::{AccEntry, CreditStage, IfaceConfig, OutEntry, RouterBlock, RouterRegs, StimEntry};
+use vc_router::{AccEntry, IfaceConfig, OutEntry, RouterBlock, RouterRegs, StimEntry};
 
 /// Wire version of [`SeqNoc`] checkpoints (engine-distinct so a
 /// checkpoint can never be restored into the wrong backend).
@@ -107,7 +107,7 @@ impl SeqNoc {
         scheduling: Scheduling,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
-        let (spec, wr_links, fwd_links) = build_noc_spec(&cfg, iface_cfg, depths, &faults, false);
+        let (spec, wr_links, fwd_links) = build_noc_spec(&cfg, iface_cfg, depths, &faults);
         let mut engine = DynamicEngine::new(spec);
         engine.set_scheduling(scheduling);
         SeqNoc {
@@ -156,20 +156,11 @@ impl SeqNoc {
 /// forward/room wiring between neighbours, tied-off inputs and sunk
 /// outputs at mesh edges, and one external write-pointer link per
 /// stimuli ring. Returns `(spec, wr_links, fwd_links)`.
-///
-/// With `credit_stages` set, every inter-router room (credit) link is
-/// routed through a [`vc_router::CreditStage`] block — a stateless
-/// identity whose per-bit semantics are declared, so the bitflow pass
-/// can prove the credit control plane bit-independent and the batched
-/// compiler can slice and pack it. Router block ids are unchanged
-/// (stages are appended after all routers); link values on the
-/// router-facing side are unchanged because the stage is an identity.
 pub(crate) fn build_noc_spec(
     cfg: &NetworkConfig,
     iface_cfg: IfaceConfig,
     depths: &[usize],
     faults: &Option<Arc<FaultPlan>>,
-    credit_stages: bool,
 ) -> (SystemSpec, Vec<[usize; NUM_VCS]>, Vec<[usize; 4]>) {
     iface_cfg.validate();
     let n = cfg.num_nodes();
@@ -218,7 +209,6 @@ pub(crate) fn build_noc_spec(
     // Forward and room links. Each router drives its 4 outgoing
     // forward links and its 4 room links (describing its own input
     // queues); the consumer is the neighbour across the link.
-    let stage_kind = credit_stages.then(|| spec.add_kind(Box::new(CreditStage)));
     let mut fwd_links = vec![[usize::MAX; 4]; n];
     for r in 0..n {
         for d in 0..4 {
@@ -227,16 +217,7 @@ pub(crate) fn build_noc_spec(
                     let opp = Direction::from_index(d).opposite().index();
                     fwd_links[r][d] =
                         spec.wire((blocks[r], OUT_FWD0 + d), (blocks[nb], IN_FWD0 + opp));
-                    match stage_kind {
-                        Some(k) => {
-                            let stage = spec.add_block(k);
-                            spec.wire((blocks[r], OUT_ROOM0 + d), (stage, 0));
-                            spec.wire((stage, 0), (blocks[nb], IN_ROOM0 + opp));
-                        }
-                        None => {
-                            spec.wire((blocks[r], OUT_ROOM0 + d), (blocks[nb], IN_ROOM0 + opp));
-                        }
-                    }
+                    spec.wire((blocks[r], OUT_ROOM0 + d), (blocks[nb], IN_ROOM0 + opp));
                 }
                 None => {
                     // Mesh edge: dangling outputs, tied-off inputs

@@ -1,11 +1,12 @@
-//! The typed session façade: one engine (scalar or lane-batched) bound
-//! to its [`RunConfig`], with typed entry points replacing the free
-//! `run(engine, gen, &rc)` function.
+//! The typed session façade: one engine bound to its [`RunConfig`],
+//! with typed entry points replacing the free `run(engine, gen, &rc)`
+//! function.
 //!
 //! A [`Session`] is what [`SimBuilder::session`](crate::SimBuilder::session)
 //! returns. It owns the engine, remembers the run parameters, runs
-//! five-phase campaigns and keeps the resulting [`RunReport`]s for
-//! lane-wise inspection:
+//! five-phase campaigns and keeps the last [`RunReport`]. Running N
+//! independent simulations is N sessions, fanned out by the caller
+//! (`soc_sim::par_map` in `experiments` and the sweep examples):
 //!
 //! ```
 //! use noc::{EngineKind, RunConfig, SimBuilder};
@@ -17,82 +18,45 @@
 //!     .run_config(RunConfig::new().warmup(100).cycles(400).drain(200))
 //!     .session()
 //!     .expect("clean network");
-//! session.run_fig1(0.05, 7).expect("clean run");
-//! for (lane, report) in session.lanes().enumerate() {
-//!     assert!(report.throughput.delivered_packets > 0, "lane {lane}");
-//! }
+//! let report = session.run_fig1(0.05, 7).expect("clean run");
+//! assert!(report.throughput.delivered_packets > 0);
 //! ```
 
-use crate::batched::BatchedNoc;
 use crate::engine::NocEngine;
-use crate::runner::{fig1_generator, run_impl, run_lanes, RunConfig, RunReport};
+use crate::runner::{fig1_generator, run_impl, RunConfig, RunReport};
 use noc_types::NetworkConfig;
 use seqsim::SimError;
 use traffic::StimuliGenerator;
 
-/// The engine a session drives: any scalar backend, or the lane-batched
-/// engine (which is not a [`NocEngine`] — every host access carries a
-/// lane index).
-enum SessionInner {
-    Scalar(Box<dyn NocEngine>),
-    Batched(Box<BatchedNoc>),
-}
-
 /// A simulator bound to its run parameters — see the [module
 /// docs](self).
 pub struct Session {
-    inner: SessionInner,
+    engine: Box<dyn NocEngine>,
     rc: RunConfig,
-    reports: Vec<RunReport>,
-    outcomes: Vec<Result<RunReport, SimError>>,
+    report: Option<RunReport>,
 }
 
 impl Session {
-    pub(crate) fn scalar(engine: Box<dyn NocEngine>, rc: RunConfig) -> Self {
+    pub(crate) fn new(engine: Box<dyn NocEngine>, rc: RunConfig) -> Self {
         Session {
-            inner: SessionInner::Scalar(engine),
+            engine,
             rc,
-            reports: Vec::new(),
-            outcomes: Vec::new(),
-        }
-    }
-
-    pub(crate) fn from_batched(noc: BatchedNoc, rc: RunConfig) -> Self {
-        Session {
-            inner: SessionInner::Batched(Box::new(noc)),
-            rc,
-            reports: Vec::new(),
-            outcomes: Vec::new(),
+            report: None,
         }
     }
 
     /// The engine's stable name (bench row id).
     pub fn name(&self) -> &'static str {
-        match &self.inner {
-            SessionInner::Scalar(e) => e.name(),
-            SessionInner::Batched(b) => b.name(),
-        }
+        self.engine.name()
     }
 
     /// The simulated network configuration.
     pub fn config(&self) -> NetworkConfig {
-        match &self.inner {
-            SessionInner::Scalar(e) => e.config(),
-            SessionInner::Batched(b) => b.config(),
-        }
-    }
-
-    /// Number of simulation lanes this session drives (1 for every
-    /// scalar kind).
-    pub fn lane_count(&self) -> usize {
-        match &self.inner {
-            SessionInner::Scalar(_) => 1,
-            SessionInner::Batched(b) => b.lanes(),
-        }
+        self.engine.config()
     }
 
     /// The run parameters used by [`run`](Self::run) /
-    /// [`run_each`](Self::run_each) / [`run_fig1`](Self::run_fig1).
+    /// [`run_fig1`](Self::run_fig1).
     pub fn run_config(&self) -> &RunConfig {
         &self.rc
     }
@@ -102,193 +66,44 @@ impl Session {
         self.rc = rc;
     }
 
-    /// Drive the session with one stimuli generator through the
+    /// Drive the session with a stimuli generator through the
     /// five-phase loop and return the report (also kept, see
-    /// [`lanes`](Self::lanes)).
+    /// [`report`](Self::report)).
     ///
     /// # Errors
     ///
     /// Everything the five-phase loop reports (engine failures,
-    /// delivery-protocol and invariant violations); additionally
-    /// [`SimError::Config`] when the session drives more than one lane —
-    /// a batch needs one generator per lane, via
-    /// [`run_each`](Self::run_each).
+    /// delivery-protocol and invariant violations).
     pub fn run(&mut self, gen: &mut StimuliGenerator) -> Result<&RunReport, SimError> {
-        match &mut self.inner {
-            SessionInner::Scalar(e) => {
-                let report = run_impl(e.as_mut(), gen, &self.rc)?;
-                self.reports = vec![report.clone()];
-                self.outcomes = vec![Ok(report)];
-            }
-            SessionInner::Batched(noc) if noc.lanes() == 1 => {
-                let mut outcomes = run_lanes(noc, std::slice::from_mut(gen), &self.rc)?;
-                let lane0 = outcomes.remove(0);
-                self.outcomes = vec![lane0.clone()];
-                self.reports = vec![lane0?];
-            }
-            SessionInner::Batched(noc) => {
-                return Err(SimError::Config(format!(
-                    "this session drives {} lanes; give one generator per lane \
-                     via Session::run_each",
-                    noc.lanes()
-                )));
-            }
-        }
-        Ok(&self.reports[0])
+        let report = run_impl(self.engine.as_mut(), gen, &self.rc)?;
+        Ok(self.report.insert(report))
     }
 
-    /// Drive every lane with its own stimuli generator — mixed seeds,
-    /// loads and (via the builder's per-lane fault plans) fault
-    /// campaigns in one pass. Scalar sessions accept exactly one
-    /// generator. Returns one report per lane, in lane order.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Config`] when `gens.len() != lane_count()`, plus
-    /// everything the five-phase loop reports. When some lanes were
-    /// quarantined but others finished, the *first* failed lane's error
-    /// is returned — use [`run_each_outcomes`](Self::run_each_outcomes)
-    /// to get the healthy lanes' reports alongside the per-lane errors.
-    pub fn run_each(&mut self, gens: &mut [StimuliGenerator]) -> Result<&[RunReport], SimError> {
-        self.run_each_outcomes(gens)?;
-        if let Some(err) = self.outcomes.iter().find_map(|r| r.as_ref().err()) {
-            return Err(err.clone());
-        }
-        Ok(&self.reports)
-    }
-
-    /// Like [`run_each`](Self::run_each), but a quarantined lane does
-    /// not fail the call: the returned slice carries one
-    /// `Result<RunReport, SimError>` per lane, in lane order — healthy
-    /// lanes' reports (bit-identical to a run without the sick lanes)
-    /// next to the quarantined lanes' typed errors.
-    ///
-    /// # Errors
-    ///
-    /// Only *campaign-fatal* failures: a generator-count mismatch, a
-    /// scalar engine failure, a malformed resume checkpoint, or a
-    /// supervisor cancellation. Per-lane failures come back in the
-    /// slice, not here.
-    pub fn run_each_outcomes(
-        &mut self,
-        gens: &mut [StimuliGenerator],
-    ) -> Result<&[Result<RunReport, SimError>], SimError> {
-        match &mut self.inner {
-            SessionInner::Scalar(e) => {
-                if gens.len() != 1 {
-                    return Err(SimError::Config(format!(
-                        "scalar session: expected 1 stimuli generator, got {}",
-                        gens.len()
-                    )));
-                }
-                let report = run_impl(e.as_mut(), &mut gens[0], &self.rc)?;
-                self.reports = vec![report.clone()];
-                self.outcomes = vec![Ok(report)];
-            }
-            SessionInner::Batched(noc) => {
-                let outcomes = run_lanes(noc, gens, &self.rc)?;
-                self.reports = outcomes
-                    .iter()
-                    .filter_map(|r| r.as_ref().ok().cloned())
-                    .collect();
-                self.outcomes = outcomes;
-            }
-        }
-        Ok(&self.outcomes)
-    }
-
-    /// Per-lane outcomes of the most recent run, in lane order (empty
-    /// before the first run): `Ok(report)` for healthy lanes,
-    /// `Err(SimError)` for quarantined ones. [`reports`](Self::reports)
-    /// keeps only the healthy subset.
-    pub fn lane_outcomes(&self) -> &[Result<RunReport, SimError>] {
-        &self.outcomes
-    }
-
-    /// Run the paper's Fig 1 workload at one BE load point on every
-    /// lane. Lane `i` uses seed `seed + i`, so a batch sweeps seeds in
-    /// one pass; a scalar session runs seed `seed` exactly like the old
-    /// `run_fig1_point`.
+    /// Run the paper's Fig 1 workload at one BE load point, exactly
+    /// like [`run_fig1_point`](crate::run_fig1_point) on this session's
+    /// engine and run parameters.
     ///
     /// # Errors
     ///
     /// Everything the five-phase loop reports.
-    pub fn run_fig1(&mut self, be_load: f64, seed: u64) -> Result<&[RunReport], SimError> {
-        let cfg = self.config();
-        let mut gens: Vec<StimuliGenerator> = (0..self.lane_count())
-            .map(|lane| fig1_generator(cfg, be_load, seed.wrapping_add(lane as u64)))
-            .collect();
-        self.run_each(&mut gens)
+    pub fn run_fig1(&mut self, be_load: f64, seed: u64) -> Result<&RunReport, SimError> {
+        let mut gen = fig1_generator(self.config(), be_load, seed);
+        self.run(&mut gen)
     }
 
-    /// [`run_fig1`](Self::run_fig1) with per-lane outcomes: quarantined
-    /// lanes surface as `Err` entries instead of failing the call.
-    ///
-    /// # Errors
-    ///
-    /// Campaign-fatal failures only, as in
-    /// [`run_each_outcomes`](Self::run_each_outcomes).
-    pub fn run_fig1_outcomes(
-        &mut self,
-        be_load: f64,
-        seed: u64,
-    ) -> Result<&[Result<RunReport, SimError>], SimError> {
-        let cfg = self.config();
-        let mut gens: Vec<StimuliGenerator> = (0..self.lane_count())
-            .map(|lane| fig1_generator(cfg, be_load, seed.wrapping_add(lane as u64)))
-            .collect();
-        self.run_each_outcomes(&mut gens)
-    }
-
-    /// Per-lane reports of the most recent run, in lane order (empty
-    /// before the first run). Scalar sessions yield one report.
-    pub fn lanes(&self) -> impl Iterator<Item = &RunReport> {
-        self.reports.iter()
-    }
-
-    /// The reports of the most recent run as a slice.
-    pub fn reports(&self) -> &[RunReport] {
-        &self.reports
-    }
-
-    /// The first (for scalar sessions: the only) report of the most
-    /// recent run.
+    /// The report of the most recent run (`None` before the first).
     pub fn report(&self) -> Option<&RunReport> {
-        self.reports.first()
+        self.report.as_ref()
     }
 
-    /// The scalar engine, for host access between runs (`None` for
-    /// batched sessions).
-    pub fn engine(&self) -> Option<&dyn NocEngine> {
-        match &self.inner {
-            SessionInner::Scalar(e) => Some(e.as_ref()),
-            SessionInner::Batched(_) => None,
-        }
+    /// The engine, for host access between runs.
+    pub fn engine(&self) -> &dyn NocEngine {
+        self.engine.as_ref()
     }
 
-    /// Mutable scalar engine access (`None` for batched sessions).
-    pub fn engine_mut(&mut self) -> Option<&mut dyn NocEngine> {
-        match &mut self.inner {
-            SessionInner::Scalar(e) => Some(e.as_mut()),
-            SessionInner::Batched(_) => None,
-        }
-    }
-
-    /// The batched engine, for lane-indexed host access (`None` for
-    /// scalar sessions).
-    pub fn batched(&self) -> Option<&BatchedNoc> {
-        match &self.inner {
-            SessionInner::Scalar(_) => None,
-            SessionInner::Batched(b) => Some(b),
-        }
-    }
-
-    /// Mutable batched engine access (`None` for scalar sessions).
-    pub fn batched_mut(&mut self) -> Option<&mut BatchedNoc> {
-        match &mut self.inner {
-            SessionInner::Scalar(_) => None,
-            SessionInner::Batched(b) => Some(b),
-        }
+    /// Mutable engine access.
+    pub fn engine_mut(&mut self) -> &mut dyn NocEngine {
+        self.engine.as_mut()
     }
 }
 
@@ -296,6 +111,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::build::{EngineKind, SimBuilder};
+    use crate::runner::run_fig1_point;
     use noc_types::Topology;
 
     fn cfg() -> NetworkConfig {
@@ -311,79 +127,50 @@ mod tests {
     }
 
     #[test]
-    fn scalar_session_runs_and_keeps_the_report() {
+    fn session_runs_and_keeps_the_report() {
         let mut s = SimBuilder::new(cfg())
             .engine(EngineKind::SeqCompiled)
             .run_config(rc())
             .session()
             .expect("clean network");
-        assert_eq!(s.lane_count(), 1);
         assert_eq!(s.name(), "seqsim-compiled");
-        let r = s.run_fig1(0.05, 7).expect("clean run");
-        assert_eq!(r.len(), 1);
-        assert!(r[0].throughput.delivered_packets > 0);
-        assert_eq!(s.lanes().count(), 1);
-        assert!(s.engine().is_some() && s.batched().is_none());
+        assert!(s.report().is_none());
+        let delivered = s
+            .run_fig1(0.05, 7)
+            .expect("clean run")
+            .throughput
+            .delivered_packets;
+        assert!(delivered > 0);
+        let kept = s.report().expect("report kept");
+        assert_eq!(kept.throughput.delivered_packets, delivered);
+        assert_eq!(s.engine().cycle(), kept.cycles);
     }
 
+    /// The façade is a thin veneer: `Session::run` with a Fig 1
+    /// generator equals `run_fig1_point` on a fresh engine of the same
+    /// kind and seed, on every deterministic report field.
     #[test]
-    fn batched_session_reports_one_lane_at_a_time_identically_to_scalar() {
-        let mut batched = SimBuilder::new(cfg())
-            .engine(EngineKind::Batched { lanes: 3 })
-            .threads(1)
-            .run_config(rc())
-            .session()
-            .expect("clean network");
-        assert_eq!(batched.lane_count(), 3);
-        let reports: Vec<RunReport> = batched.run_fig1(0.05, 7).expect("clean run").to_vec();
-        assert_eq!(reports.len(), 3);
-        // Lane i of the batch must match a scalar compiled run with the
-        // same seed, delivered flit for delivered flit.
-        for (lane, br) in reports.iter().enumerate() {
-            let mut scalar = SimBuilder::new(cfg())
-                .engine(EngineKind::SeqCompiled)
-                .run_config(rc())
-                .session()
-                .expect("clean network");
-            let sr = &scalar.run_fig1(0.05, 7 + lane as u64).expect("clean run")[0];
-            assert_eq!(br.throughput.delivered_flits, sr.throughput.delivered_flits);
-            assert_eq!(br.throughput.offered_flits, sr.throughput.offered_flits);
-            assert_eq!(br.gt.mean, sr.gt.mean, "lane {lane} GT latency");
-            assert_eq!(br.be.mean, sr.be.mean, "lane {lane} BE latency");
-            assert_eq!(br.delta, sr.delta, "lane {lane} delta stats");
+    fn session_run_matches_run_fig1_point() {
+        for kind in [EngineKind::Seq, EngineKind::SeqCompiled] {
+            let build = || SimBuilder::new(cfg()).engine(kind).run_config(rc());
+            let mut session = build().session().expect("clean network");
+            let mut gen = fig1_generator(cfg(), 0.05, 7);
+            let a = session.run(&mut gen).expect("session run");
+
+            let mut engine = build().try_build().expect("clean network");
+            let b = run_fig1_point(engine.as_mut(), 0.05, 7, &rc()).expect("direct run");
+
+            // Wall-clock fields aside, the reports agree bit for bit
+            // (latency means compared by their float bits).
+            let key = |r: &RunReport| {
+                let latency =
+                    [r.gt, r.be, r.access].map(|s| (s.count, s.max, s.mean.to_bits(), s.p99));
+                (
+                    (r.engine, r.cycles, r.saturated, r.unmatched),
+                    (r.fault_anomalies, r.throughput, latency, r.delta.clone()),
+                )
+            };
+            assert_eq!(key(a), key(&b), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn multi_lane_session_refuses_a_single_generator() {
-        let mut s = SimBuilder::new(cfg())
-            .engine(EngineKind::Batched { lanes: 2 })
-            .threads(1)
-            .session()
-            .expect("clean network");
-        let mut gen = crate::runner::fig1_generator(cfg(), 0.05, 7);
-        let err = s.run(&mut gen).expect_err("2 lanes, 1 generator");
-        assert!(err.to_string().contains("run_each"), "{err}");
-    }
-
-    #[test]
-    fn batched_kind_cannot_build_a_bare_engine() {
-        let err = SimBuilder::new(cfg())
-            .engine(EngineKind::Batched { lanes: 2 })
-            .try_build()
-            .err()
-            .expect("batched needs a session");
-        assert!(err.to_string().contains("session"), "{err}");
-    }
-
-    #[test]
-    fn lane_fault_count_mismatch_is_a_config_error() {
-        let err = SimBuilder::new(cfg())
-            .engine(EngineKind::Batched { lanes: 3 })
-            .lane_faults(vec![None, None])
-            .session()
-            .err()
-            .expect("2 plans for 3 lanes");
-        assert!(err.to_string().contains("lane"), "{err}");
     }
 }

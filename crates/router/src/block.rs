@@ -341,61 +341,6 @@ impl BlockKind for RouterBlock {
     }
 }
 
-/// A transparent credit-pipeline stage: one [`LINK_ROOM_BITS`]-wide
-/// combinational buffer, `out = in`.
-///
-/// Structurally a wire — splicing one into a room link changes nothing
-/// about the NoC's behavior (room words are functions of registered
-/// state, so no combinational cycle forms and no clock of latency is
-/// added). Its value is its *declared bit semantics*: each output bit
-/// is a pure [`BitExpr::In`] copy of the matching input bit, which
-/// bitflow uses to prove the credit control plane bit-independent and
-/// the batched engine uses to evaluate the sliced credit links as
-/// packed expressions, 64 lanes per word.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CreditStage;
-
-impl BlockKind for CreditStage {
-    fn name(&self) -> &str {
-        "credit-stage"
-    }
-
-    fn state_bits(&self) -> usize {
-        0
-    }
-
-    fn input_widths(&self) -> Vec<usize> {
-        vec![LINK_ROOM_BITS]
-    }
-
-    fn output_widths(&self) -> Vec<usize> {
-        vec![LINK_ROOM_BITS]
-    }
-
-    fn reset(&self, _state: &mut [u64]) {}
-
-    fn bit_semantics(&self, port: usize) -> Option<BitSemantics> {
-        (port == 0).then(|| BitSemantics {
-            bits: (0..LINK_ROOM_BITS)
-                .map(|bit| BitExpr::In { port: 0, bit })
-                .collect(),
-        })
-    }
-
-    fn eval(
-        &self,
-        _instance: usize,
-        _cur: &[u64],
-        inputs: &[u64],
-        _cycle: u64,
-        _next: &mut [u64],
-        outputs: &mut [u64],
-        _side: &mut SideView<'_>,
-    ) {
-        outputs[0] = inputs[0] & ((1u64 << LINK_ROOM_BITS) - 1);
-    }
-}
-
 /// The router's specialized execution unit for the compiled engine
 /// ([`seqsim::compile::CompiledEngine`]).
 ///

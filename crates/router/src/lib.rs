@@ -63,7 +63,7 @@ pub mod queue;
 pub mod regs;
 pub mod routing;
 
-pub use block::{CompiledRouter, CreditStage, RouterBlock};
+pub use block::{CompiledRouter, RouterBlock};
 pub use comb::{comb_fwd, comb_room, comb_select, transfers, RouterInputs, Selection};
 pub use iface::{AccEntry, IfaceConfig, IfaceRings, IfaceStore, OutEntry, StimEntry};
 pub use layout::RegisterLayout;

@@ -14,10 +14,6 @@ pub const CHECKPOINTS_WRITTEN: &str = "recover.checkpoints_written";
 /// explicit `--resume` restarts).
 pub const RESUMES: &str = "recover.resumes";
 
-/// Counter: batched-engine lanes quarantined after a panic or an
-/// invariant violation.
-pub const LANES_QUARANTINED: &str = "recover.lanes_quarantined";
-
 /// Counter: checkpoint files rejected at resume time (truncated,
 /// bit-flipped, wrong engine or wrong campaign fingerprint).
 pub const CHECKPOINTS_REJECTED: &str = "recover.checkpoints_rejected";
@@ -32,15 +28,9 @@ mod tests {
         let r = Registry::new();
         r.counter(CHECKPOINTS_WRITTEN, &[]).inc();
         r.counter(RESUMES, &[]).add(2);
-        r.counter(LANES_QUARANTINED, &[]).inc();
         r.counter(CHECKPOINTS_REJECTED, &[]).inc();
         let snap = r.snapshot_json();
-        for name in [
-            CHECKPOINTS_WRITTEN,
-            RESUMES,
-            LANES_QUARANTINED,
-            CHECKPOINTS_REJECTED,
-        ] {
+        for name in [CHECKPOINTS_WRITTEN, RESUMES, CHECKPOINTS_REJECTED] {
             assert!(snap.contains(name), "{name} missing from snapshot");
         }
     }

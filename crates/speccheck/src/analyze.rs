@@ -647,121 +647,6 @@ pub fn check_cut(g: &SpecGraph, shard_of: &[usize]) -> Vec<Diagnostic> {
     ds
 }
 
-/// Check the lanes of a batched run for structural identity: the
-/// batched engine executes *one* compiled program over every lane, so
-/// all lane graphs must share block shapes (names, port→link wiring,
-/// comb declarations, host visibility) and link shapes (width, driver
-/// class). Per-lane *contents* — constant values, fault plans, seeds —
-/// may differ; a [`Const`](LinkClass::Const) link only has to stay
-/// `Const`, not hold the same value.
-///
-/// Returns one [`BATCH_DIVERGENT_TOPOLOGY`](codes::BATCH_DIVERGENT_TOPOLOGY)
-/// error per divergent site (first divergent lane wins per site).
-pub fn check_batch(lanes: &[SpecGraph]) -> Vec<Diagnostic> {
-    let mut ds = Vec::new();
-    let Some(base) = lanes.first() else {
-        return ds;
-    };
-    let diverge = |site: Site, lane: usize, what: String| {
-        Diagnostic::new(
-            Severity::Error,
-            codes::BATCH_DIVERGENT_TOPOLOGY,
-            site,
-            format!("lane {lane} diverges from lane 0: {what}"),
-        )
-    };
-    for (lane, g) in lanes.iter().enumerate().skip(1) {
-        if g.blocks.len() != base.blocks.len() {
-            ds.push(diverge(
-                Site::System,
-                lane,
-                format!("{} blocks vs {}", g.blocks.len(), base.blocks.len()),
-            ));
-            continue;
-        }
-        if g.links.len() != base.links.len() {
-            ds.push(diverge(
-                Site::System,
-                lane,
-                format!("{} links vs {}", g.links.len(), base.links.len()),
-            ));
-            continue;
-        }
-        for (b, (ba, bb)) in base.blocks.iter().zip(&g.blocks).enumerate() {
-            if ba.name != bb.name {
-                ds.push(diverge(
-                    Site::Block(b),
-                    lane,
-                    format!("kind `{}` vs `{}`", bb.name, ba.name),
-                ));
-            }
-            if ba.inputs != bb.inputs || ba.outputs != bb.outputs {
-                ds.push(diverge(
-                    Site::Block(b),
-                    lane,
-                    "port wiring differs".to_string(),
-                ));
-            }
-            if ba.comb != bb.comb {
-                ds.push(diverge(
-                    Site::Block(b),
-                    lane,
-                    "combinational declaration differs (lanes would need \
-                     different schedules)"
-                        .to_string(),
-                ));
-            }
-            if ba.host_visible != bb.host_visible {
-                ds.push(diverge(
-                    Site::Block(b),
-                    lane,
-                    "host visibility differs".to_string(),
-                ));
-            }
-            if ba.bit_sem != bb.bit_sem {
-                ds.push(diverge(
-                    Site::Block(b),
-                    lane,
-                    "bit-level semantics differ (lanes would disagree on \
-                     packed expression lowering)"
-                        .to_string(),
-                ));
-            }
-            if ba.in_used != bb.in_used {
-                ds.push(diverge(
-                    Site::Block(b),
-                    lane,
-                    "input-bit liveness differs".to_string(),
-                ));
-            }
-        }
-        for (l, (la, lb)) in base.links.iter().zip(&g.links).enumerate() {
-            if la.width != lb.width {
-                ds.push(diverge(
-                    Site::Link(l),
-                    lane,
-                    format!("width {} vs {}", lb.width, la.width),
-                ));
-            }
-            let class_matches = matches!(
-                (la.class, lb.class),
-                (LinkClass::Wire, LinkClass::Wire)
-                    | (LinkClass::Const(_), LinkClass::Const(_))
-                    | (LinkClass::External, LinkClass::External)
-            );
-            if !class_matches {
-                ds.push(diverge(
-                    Site::Link(l),
-                    lane,
-                    format!("driver class {:?} vs {:?}", lb.class, la.class),
-                ));
-            }
-        }
-    }
-    normalize_diagnostics(&mut ds);
-    ds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -864,42 +749,5 @@ mod tests {
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"blocks\":3"));
         assert!(j.contains("\"diagnostics\":["));
-    }
-
-    #[test]
-    fn identical_lanes_pass_the_batch_check() {
-        let g0 = SpecGraph::from_spec(&comb_demo().0);
-        let g1 = SpecGraph::from_spec(&comb_demo().0);
-        assert!(check_batch(&[g0, g1]).is_empty());
-        assert!(check_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn divergent_lane_contents_are_tolerated_but_shapes_are_not() {
-        let g0 = SpecGraph::from_spec(&comb_demo().0);
-        // Different Const *value*: contents, fine.
-        let mut g1 = SpecGraph::from_spec(&comb_demo().0);
-        for l in &mut g1.links {
-            if let LinkClass::Const(v) = l.class {
-                l.class = LinkClass::Const(v ^ 1);
-            }
-        }
-        assert!(check_batch(&[g0.clone(), g1]).is_empty());
-
-        // Different link width: shape, rejected with the stable code.
-        let mut g2 = SpecGraph::from_spec(&comb_demo().0);
-        g2.links[0].width += 1;
-        let ds = check_batch(&[g0.clone(), g2]);
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].code, codes::BATCH_DIVERGENT_TOPOLOGY);
-        assert_eq!(ds[0].severity, Severity::Error);
-        assert_eq!(ds[0].site, Site::Link(0));
-
-        // Different block count: rejected at the system site.
-        let mut g3 = SpecGraph::from_spec(&comb_demo().0);
-        g3.blocks.pop();
-        let ds = check_batch(&[g0, g3]);
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].site, Site::System);
     }
 }

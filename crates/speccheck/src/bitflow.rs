@@ -40,10 +40,11 @@
 //! writer declares complete per-bit semantics with **pairwise-disjoint
 //! dependency sets** (bit `i` of the output is a function of input bits
 //! no other output bit reads — bit-independence), restricted to links
-//! adjacent to at least one fully-modelled ("pure") block that the
-//! batched engine can turn into packed bitwise expressions. Slicing is
-//! unconditionally semantics-preserving in `seqsim::compile` — the plan
-//! is *policy* (slice only where packing can profit), not *legality*.
+//! adjacent to at least one fully-modelled ("pure") block whose
+//! semantics are plain bitwise expressions. Slicing is unconditionally
+//! semantics-preserving in `seqsim::compile` — the plan is *policy*
+//! (slice only where a bitwise lowering could profit), not *legality*.
+//! No engine consumes the plan today; it is analyzer output.
 
 use crate::graph::{LinkClass, SpecGraph};
 use noc_types::diag::{codes, Diagnostic, Severity, Site};
@@ -125,8 +126,8 @@ pub struct Bitflow {
     pub diagnostics: Vec<Diagnostic>,
     /// Links with fewer live bits than declared width.
     pub narrowable: Vec<Narrowable>,
-    /// Links proven bit-independent and worth slicing for the packed
-    /// batched path (feed to `seqsim::CompileOptions::slice`).
+    /// Links proven bit-independent and worth slicing (the input of
+    /// `seqsim::CompileOptions::slice`).
     pub slice: SlicePlan,
     /// Total wire bits proven constant.
     pub const_bits: usize,
@@ -249,9 +250,8 @@ fn abs_eval(e: &BitExpr, g: &SpecGraph, b: usize, values: &[Vec<BitValue>]) -> B
     }
 }
 
-/// Is the whole block a candidate for the batched engine's packed
-/// expression path: every output port carries complete (`Opaque`-free)
-/// per-bit semantics?
+/// Is the whole block expressible as bitwise expressions: every output
+/// port carries complete (`Opaque`-free) per-bit semantics?
 fn block_pure(g: &SpecGraph, b: usize) -> bool {
     let blk = &g.blocks[b];
     !blk.outputs.is_empty()
@@ -463,8 +463,8 @@ pub fn bitflow_graph(g: &SpecGraph) -> Bitflow {
         if sem.bits.len() != width || !deps_pairwise_disjoint(sem) {
             continue;
         }
-        // Policy: slicing pays only next to a block the batched engine
-        // can lower to packed expressions.
+        // Policy: slicing pays only next to a block that is itself
+        // pure bitwise expressions.
         if block_pure(g, wb) || readers[l].iter().any(|&(rb, _)| block_pure(g, rb)) {
             slice_links.push(l);
         }

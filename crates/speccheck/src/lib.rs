@@ -40,8 +40,8 @@ pub mod graph;
 pub mod scc;
 
 pub use analyze::{
-    analyze_graph, analyze_spec, check_batch, check_cut, normalize_diagnostics, Analysis,
-    AnalyzeOptions, SccInfo,
+    analyze_graph, analyze_spec, check_cut, normalize_diagnostics, Analysis, AnalyzeOptions,
+    SccInfo,
 };
 pub use bitflow::{bitflow_graph, BitValue, Bitflow, Narrowable};
 pub use graph::{GraphBlock, GraphLink, LinkClass, SpecGraph};

@@ -177,13 +177,6 @@ pub mod codes {
     /// engine cannot lower the spec to straight-line code and falls
     /// back to bounded fixed-point passes.
     pub const COMPILE_FALLBACK: &str = "compile-fallback";
-    /// The lanes of a batched run do not share one `SystemSpec`
-    /// structure (block/link shapes, widths, state or ring geometry
-    /// differ between lanes). The batched engine executes a single
-    /// compiled program over all lanes, so every lane must describe the
-    /// same topology; only per-lane *contents* (fault plans, seeds,
-    /// reset values, traffic) may differ.
-    pub const BATCH_DIVERGENT_TOPOLOGY: &str = "batch-divergent-topology";
     /// A wire link bit is provably constant in every cycle (bitflow
     /// proved it `Const0`/`Const1` from the drivers' bit semantics).
     pub const CONST_BIT: &str = "const-bit";

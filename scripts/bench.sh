@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Kernel throughput benchmark: builds the harness and writes
-# BENCH_kernel.json (schema soc-sim/bench_kernel/v5) in the repo root.
+# BENCH_kernel.json (schema soc-sim/bench_kernel/v7) in the repo root.
 # Every row carries a "threads" field; the seqsim-sharded rows sweep the
-# worker count from 1 to the host's CPU count (--quick: threads 1 and 2), and the seqsim-batched rows sweep the SoA lane count 1 to 8 (--quick: lanes 1 and 4) against a back-to-back compiled reference.
+# worker count from 1 to the host's CPU count (--quick: threads 1 and 2).
 #
 #   scripts/bench.sh [--quick] [--out FILE]
 #

@@ -30,17 +30,14 @@ cargo test -q -p noc compiled
 cargo test -q --test compiled_program
 cargo test -q --test snapshot compiled
 
-echo "==> batched differential suite (lane-vs-scalar bit-identity)"
-cargo test -q -p noc --test batched_differential
-
 echo "==> faulty differential suite (bit-identity under fault plans)"
 cargo test -q --test differential_engines engines_agree_under_fault_plans
 cargo test -q -p noc --test sharded_differential sharded_replays_fault_plans
 
-echo "==> resilience suite (checkpoint round-trips, kill-and-resume, quarantine, supervisor)"
+echo "==> resilience suite (checkpoint round-trips, kill-and-resume, supervisor)"
 cargo test -q -p noc --test resilience
 
-echo "==> chaos smoke (injected panic + hang + poisoned lane + corrupt checkpoint)"
+echo "==> chaos smoke (injected panic + hang + corrupt checkpoint)"
 cargo run --release --bin chaos -- --dir target/chaos 2> /dev/null
 
 echo "==> invariant-checker + profiler smoke (experiments --quick --check --faults --profile)"

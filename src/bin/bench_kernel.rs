@@ -9,7 +9,8 @@
 //! `--engines` filters the matrix to a comma-separated list of engine
 //! ids (e.g. `--engines seqsim,seqsim-compiled` re-runs just the
 //! compiled-vs-hybrid comparison in seconds); `seqsim-sharded` selects
-//! the thread sweep and `speccheck` the analyzer row.
+//! the thread sweep and `speccheck` the analyzer row. An id the harness
+//! does not know is refused with exit status 2.
 //!
 //! Two workloads per engine on the paper's 6x6 torus (depth 2):
 //!
@@ -18,20 +19,15 @@
 //!   through the five-phase runner; the reported rate is the *simulate
 //!   phase alone* via [`RunReport::sim_cycles_per_sec`].
 //!
-//! Plus a `seqsim-naive` row (the retained full-rescan scheduler) as the
-//! baseline the incremental worklist is measured against, a
-//! `seqsim-dynamic` row (the same engine with the analyzer-derived
-//! hybrid schedule switched off) for the dynamic-vs-hybrid comparison,
-//! a `seqsim-compiled` row (the hybrid schedule lowered at build time
-//! into a flat bytecode kernel, `schedule: "compiled"`),
-//! an idle scaling sweep from 2 to 256 routers for the sequential and
-//! native kernels, a `seqsim-sharded` thread sweep (1 → the
-//! machine's CPU count) on both 6x6 workloads, and a `seqsim-batched`
-//! lane sweep (1 → 8 lanes; quick: {1, 4}) that times a whole campaign
-//! — build plus L independent Fig 1 runs — as one SoA batch against L
-//! back-to-back compiled builds+runs. Every row carries `threads`,
-//! `lanes` (1 for every scalar engine), a derived
-//! `sims_per_sec_per_core`, and a `schedule` field: `"hybrid"` iff the
+//! Plus a `seqsim-dynamic` row (the same engine with the
+//! analyzer-derived hybrid schedule switched off) for the
+//! dynamic-vs-hybrid comparison, a `seqsim-compiled` row (the hybrid
+//! schedule lowered at build time into a flat bytecode kernel,
+//! `schedule: "compiled"`), an idle scaling sweep from 2 to 256 routers
+//! for the sequential and native kernels, and a `seqsim-sharded` thread
+//! sweep (1 → the machine's CPU count) on both 6x6 workloads. Every row
+//! carries `threads`, a derived `sims_per_sec_per_core`, and a
+//! `schedule` field: `"hybrid"` iff the
 //! engine adopted the `speccheck` SCC schedule at build time,
 //! `"compiled"` for the bytecode kernels, `"dynamic"` for every pure
 //! delta-driven run. A final `speccheck/analyze` row times the
@@ -52,7 +48,7 @@ use std::time::Instant;
 struct Row {
     /// Stable row id, `<engine>/<workload>/<w>x<h>[/tN]`.
     id: String,
-    /// Engine id used in the harness (`seqsim-naive` ≠ kernel name).
+    /// Engine id used in the harness (`seqsim-dynamic` ≠ kernel name).
     engine: &'static str,
     /// What the engine reported via [`NocEngine::name`].
     kernel: &'static str,
@@ -65,16 +61,10 @@ struct Row {
     /// schedule at build time, `"compiled"` when that schedule was
     /// lowered into a bytecode program, `"dynamic"` otherwise.
     schedule: &'static str,
-    /// Independent simulations advanced per step (1 for every scalar
-    /// engine; the batched engine's lane count).
-    lanes: usize,
     cycles: u64,
     wall_s: f64,
     cycles_per_sec: f64,
     deltas_per_sec: Option<f64>,
-    /// Packed 64-lanes-per-eval bitwise ops in the compiled program
-    /// (nonzero only for the batched engine's packed control plane).
-    bitwise_ops: usize,
 }
 
 /// One engine configuration of the bench matrix.
@@ -145,12 +135,6 @@ fn engines() -> Vec<EngineSpec> {
             idle_cycles: 20_000,
         },
         EngineSpec {
-            id: "seqsim-naive",
-            kind: EngineKind::SeqNaive,
-            policy: SchedulePolicy::Dynamic,
-            idle_cycles: 5_000,
-        },
-        EngineSpec {
             id: "cyclesim",
             kind: EngineKind::CycleSim,
             policy: SchedulePolicy::Auto,
@@ -163,6 +147,32 @@ fn engines() -> Vec<EngineSpec> {
             idle_cycles: 5_000,
         },
     ]
+}
+
+/// Every id `--engines` accepts: the engine table plus the thread sweep
+/// and the analyzer row.
+fn known_ids() -> Vec<&'static str> {
+    let mut ids: Vec<&'static str> = engines().iter().map(|e| e.id).collect();
+    ids.extend(["seqsim-sharded", "speccheck"]);
+    ids
+}
+
+/// Split a comma-separated `--engines` list, refusing any id not in
+/// `known` (a typo or a retired engine would otherwise select nothing
+/// and the run would "succeed" with zero rows).
+fn parse_engines(list: &str, known: &[&str]) -> Result<Vec<String>, String> {
+    let ids: Vec<String> = list
+        .split(',')
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .collect();
+    match ids.iter().find(|id| !known.contains(&id.as_str())) {
+        Some(bad) => Err(format!(
+            "unknown engine id {bad:?}; valid ids: {}",
+            known.join(", ")
+        )),
+        None => Ok(ids),
+    }
 }
 
 /// The sharded engine's thread sweep: 1, 2, 4, ... up to the machine's
@@ -230,12 +240,10 @@ fn bench_idle(
         routers: cfg.num_nodes(),
         threads,
         schedule,
-        lanes: 1,
         cycles,
         wall_s: wall,
         cycles_per_sec: cycles as f64 / wall,
         deltas_per_sec: deltas,
-        bitwise_ops: 0,
     }
 }
 
@@ -271,12 +279,10 @@ fn bench_loaded(
         routers: cfg.num_nodes(),
         threads,
         schedule,
-        lanes: 1,
         cycles: r.cycles,
         wall_s: sim_wall,
         cycles_per_sec: r.sim_cycles_per_sec(),
         deltas_per_sec: r.deltas_per_sec(),
-        bitwise_ops: 0,
     }
 }
 
@@ -293,8 +299,8 @@ fn push_row(out: &mut String, row: &Row) {
     simtrace::json::write_str(out, row.schedule);
     let _ = write!(
         out,
-        ", \"routers\": {}, \"threads\": {}, \"lanes\": {}, \"cycles\": {}, \"wall_s\": ",
-        row.routers, row.threads, row.lanes, row.cycles
+        ", \"routers\": {}, \"threads\": {}, \"cycles\": {}, \"wall_s\": ",
+        row.routers, row.threads, row.cycles
     );
     simtrace::json::write_f64(out, row.wall_s);
     out.push_str(", \"cycles_per_sec\": ");
@@ -306,7 +312,6 @@ fn push_row(out: &mut String, row: &Row) {
         Some(d) => simtrace::json::write_f64(out, d),
         None => out.push_str("null"),
     }
-    let _ = write!(out, ", \"bitwise_ops\": {}", row.bitwise_ops);
     out.push('}');
 }
 
@@ -321,12 +326,13 @@ fn main() {
     // `--engines a,b,c` restricts the matrix to the listed engine ids
     // (the scaling/thread sweeps and the analyzer row included).
     let only: Option<Vec<String>> = args.iter().position(|a| a == "--engines").map(|i| {
-        args.get(i + 1)
-            .expect("--engines needs a comma-separated list")
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect()
+        let list = args
+            .get(i + 1)
+            .expect("--engines needs a comma-separated list");
+        parse_engines(list, &known_ids()).unwrap_or_else(|msg| {
+            eprintln!("bench_kernel: {msg}");
+            std::process::exit(2);
+        })
     });
     let keep = |id: &str| only.as_ref().is_none_or(|l| l.iter().any(|x| x == id));
     let div = if quick { 10 } else { 1 };
@@ -437,121 +443,6 @@ fn main() {
         rows.push(row);
     }
 
-    // Batched lane sweep: a campaign of L independent Fig 1 runs (lane i
-    // seeded 7+i) as one SoA batch vs L separate compiled builds+runs.
-    // Walls include the build: the batch analyzes its topology once,
-    // the sequential reference pays the analyzer per instance. The rate
-    // is aggregate lane-cycles per second over the whole campaign. The
-    // batch opts into the packed control plane, so the bitflow-sliced
-    // credit links lower to real packed bitwise ops (ROADMAP item 1);
-    // lane observables stay bit-identical to the scalar compiled runs.
-    let lane_sweep: Vec<usize> = if keep("seqsim-batched") {
-        if quick {
-            vec![1, 4]
-        } else {
-            vec![1, 2, 4, 8]
-        }
-    } else {
-        Vec::new()
-    };
-    eprintln!("# batched lane sweep (lanes in {lane_sweep:?})");
-    for &lanes in &lane_sweep {
-        let threads = seqsim::pool::worker_count(None);
-        let start = Instant::now();
-        let mut session = soc_sim::sim(cfg)
-            .engine(EngineKind::Batched { lanes })
-            .packed_control(true)
-            .run_config(rc.clone())
-            .session()
-            .expect("batched session builds");
-        let bitwise_ops = session
-            .batched()
-            .expect("batched session")
-            .engine()
-            .program()
-            .bitwise_ops();
-        assert!(
-            bitwise_ops > 0,
-            "fig-1 packed control plane must compile to packed bitwise ops"
-        );
-        let cycles = {
-            let reports = session.run_fig1(0.10, 7).expect("batched campaign runs");
-            assert!(
-                reports.iter().all(|r| !r.saturated),
-                "batched bench workload saturated"
-            );
-            reports[0].cycles
-        };
-        let wall = start.elapsed().as_secs_f64().max(1e-9);
-        let row = Row {
-            id: format!(
-                "seqsim-batched/campaign/{}x{}/l{lanes}",
-                cfg.shape.w, cfg.shape.h
-            ),
-            engine: "seqsim-batched",
-            kernel: "seqsim-batched",
-            workload: "campaign",
-            routers: cfg.num_nodes(),
-            threads,
-            schedule: "compiled",
-            lanes,
-            cycles,
-            wall_s: wall,
-            cycles_per_sec: lanes as f64 * cycles as f64 / wall,
-            deltas_per_sec: None,
-            bitwise_ops,
-        };
-        eprintln!(
-            "  {:<32} {:>10.1} lane-cycles/s",
-            row.id, row.cycles_per_sec
-        );
-        let batched_rate = row.cycles_per_sec;
-        rows.push(row);
-
-        // Sequential reference: the same L campaigns, one compiled
-        // engine each, run back to back on one core.
-        let start = Instant::now();
-        let mut total_cycles = 0u64;
-        for lane in 0..lanes {
-            let mut s = soc_sim::sim(cfg)
-                .engine(EngineKind::SeqCompiled)
-                .run_config(rc.clone())
-                .session()
-                .expect("compiled session builds");
-            let r = &s
-                .run_fig1(0.10, 7 + lane as u64)
-                .expect("compiled campaign runs")[0];
-            assert!(!r.saturated, "compiled bench workload saturated");
-            total_cycles += r.cycles;
-        }
-        let wall = start.elapsed().as_secs_f64().max(1e-9);
-        let row = Row {
-            id: format!(
-                "seqsim-compiled/campaign/{}x{}/l{lanes}",
-                cfg.shape.w, cfg.shape.h
-            ),
-            engine: "seqsim-compiled",
-            kernel: "seqsim-compiled",
-            workload: "campaign",
-            routers: cfg.num_nodes(),
-            threads: 1,
-            schedule: "compiled",
-            lanes,
-            cycles: total_cycles / lanes as u64,
-            wall_s: wall,
-            cycles_per_sec: total_cycles as f64 / wall,
-            deltas_per_sec: None,
-            bitwise_ops: 0,
-        };
-        eprintln!(
-            "  {:<32} {:>10.1} lane-cycles/s ({:.2}x batched)",
-            row.id,
-            row.cycles_per_sec,
-            batched_rate / row.cycles_per_sec.max(1e-9)
-        );
-        rows.push(row);
-    }
-
     // Idle scaling sweep, 2 -> 256 routers (paper §7: the sequential
     // kernel trades speed for size linearly).
     let shapes: &[(usize, usize)] = if quick {
@@ -611,19 +502,17 @@ fn main() {
             routers: cfg.num_nodes(),
             threads: 1,
             schedule: "hybrid",
-            lanes: 1,
             cycles: reps,
             wall_s: wall,
             cycles_per_sec: reps as f64 / wall,
             deltas_per_sec: None,
-            bitwise_ops: 0,
         };
         eprintln!("  {:<32} {:>10.1} passes/s", row.id, row.cycles_per_sec);
         rows.push(row);
     }
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"soc-sim/bench_kernel/v6\",\n");
+    json.push_str("{\n  \"schema\": \"soc-sim/bench_kernel/v7\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(
         json,
@@ -631,7 +520,7 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     );
     json.push_str(
-        "  \"workloads\": {\"idle\": \"no traffic\", \"loaded\": \"fig1 GT + BE 0.10, seed 7, simulate phase only\", \"campaign\": \"L independent fig1 runs incl. build, rate = aggregate lane-cycles/s\", \"analyze\": \"speccheck static pass, cycles = passes\"},\n",
+        "  \"workloads\": {\"idle\": \"no traffic\", \"loaded\": \"fig1 GT + BE 0.10, seed 7, simulate phase only\", \"analyze\": \"speccheck static pass, cycles = passes\"},\n",
     );
     json.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -646,4 +535,35 @@ fn main() {
     simtrace::json::validate(&json).expect("bench harness emitted invalid JSON");
     std::fs::write(&out_path, &json).expect("write bench output");
     eprintln!("wrote {out_path} ({} rows)", rows.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn engines_list_is_validated_against_the_known_ids() {
+        let known = known_ids();
+        assert_eq!(
+            parse_engines(" seqsim, seqsim-compiled,,speccheck ", &known),
+            Ok(vec![
+                "seqsim".to_string(),
+                "seqsim-compiled".to_string(),
+                "speccheck".to_string()
+            ])
+        );
+        assert_eq!(
+            parse_engines("seqsim-sharded", &known),
+            Ok(vec!["seqsim-sharded".to_string()])
+        );
+        for retired in ["seqsim-batched", "seqsim-naive", "seqsmi"] {
+            let err = parse_engines(&format!("native,{retired}"), &known)
+                .expect_err("unknown id must be refused");
+            assert!(err.contains(retired), "{err}");
+            assert!(
+                err.contains("seqsim-compiled"),
+                "names the valid set: {err}"
+            );
+        }
+    }
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --bin chaos -- [--dir DIR]
 //! ```
 //!
-//! Four scenarios run back to back, each against a clean baseline of the
+//! Three scenarios run back to back, each against a clean baseline of the
 //! same campaign:
 //!
 //! 1. **panic** — [`ChaosConfig::panic_at`] crashes the runner mid
@@ -14,10 +14,7 @@
 //! 2. **hang** — [`ChaosConfig::hang_at`] wedges the runner; the
 //!    heartbeat watchdog declares a stall, cancels the run and retries
 //!    from the newest checkpoint.
-//! 3. **poisoned lane** — a batched lane panics inside the kernel; the
-//!    lane is quarantined with a typed error while the healthy lanes
-//!    finish bit-identical to scalar runs.
-//! 4. **corrupt checkpoint** — the newest checkpoint file is bit-flipped
+//! 3. **corrupt checkpoint** — the newest checkpoint file is bit-flipped
 //!    on disk; resume skips it with a warning and falls back to the
 //!    previous cut, still bit-identical.
 //!
@@ -30,15 +27,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use noc::{
-    run_fig1_point, run_lanes, BatchedNoc, ChaosConfig, CompiledNoc, RunConfig, RunReport,
-    SimError, Supervisor,
-};
+use noc::{run_fig1_point, ChaosConfig, CompiledNoc, RunConfig, RunReport, SimError, Supervisor};
 use noc_types::{NetworkConfig, Topology};
 use simtrace::Registry;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use traffic::StimuliGenerator;
 use vc_router::IfaceConfig;
 
 const LOAD: f64 = 0.10;
@@ -57,18 +50,6 @@ fn rc() -> RunConfig {
         .drain(300)
         .period(128)
         .backlog_limit(1 << 16)
-}
-
-/// The per-lane generator matching `run_fig1_point`'s workload.
-fn fig1_gen(cfg: NetworkConfig, seed: u64) -> StimuliGenerator {
-    let mut alloc = traffic::GtAllocator::new(cfg);
-    let gt_streams = alloc.auto_streams((2, 1), 2048, 128);
-    StimuliGenerator::new(traffic::TrafficConfig {
-        net: cfg,
-        be: traffic::BeConfig::fig1(LOAD),
-        gt_streams,
-        seed,
-    })
 }
 
 /// Compare every deterministic report field; returns the first mismatch.
@@ -169,47 +150,7 @@ fn supervised_scenario(
     ))
 }
 
-/// Scenario 3: one poisoned lane quarantined, healthy lanes bit-identical
-/// to scalar runs.
-fn poisoned_lane_scenario(registry: &Registry) -> Result<String, String> {
-    let cfg = net();
-    let seeds = [11u64, 2_222, 333_333];
-    let mut batch = BatchedNoc::new(cfg, IfaceConfig::default(), seeds.len(), 1)
-        .map_err(|e| format!("poisoned-lane: build: {e}"))?;
-    batch.poison_lane_at(1, 300);
-    let mut gens: Vec<StimuliGenerator> = seeds.iter().map(|&s| fig1_gen(cfg, s)).collect();
-    let outcomes = run_lanes(&mut batch, &mut gens, &rc())
-        .map_err(|e| format!("poisoned-lane: campaign aborted: {e}"))?;
-
-    match &outcomes[1] {
-        Err(SimError::LaneQuarantined { lane: 1, .. }) => {
-            registry
-                .counter(simtrace::recover::LANES_QUARANTINED, &[])
-                .inc();
-        }
-        other => {
-            return Err(format!(
-                "poisoned-lane: lane 1 should be quarantined, got {other:?}"
-            ))
-        }
-    }
-    for lane in [0usize, 2] {
-        let report = outcomes[lane]
-            .as_ref()
-            .map_err(|e| format!("poisoned-lane: healthy lane {lane} failed: {e}"))?;
-        let mut scalar = CompiledNoc::new(cfg, IfaceConfig::default());
-        let r = run_fig1_point(&mut scalar, LOAD, seeds[lane], &rc())
-            .map_err(|e| format!("poisoned-lane: scalar lane {lane}: {e}"))?;
-        check_identical(report, &r).map_err(|e| format!("poisoned-lane: lane {lane}: {e}"))?;
-    }
-    Ok(
-        "poisoned-lane: lane 1 quarantined with a typed error, lanes 0 and 2 \
-        bit-identical to scalar runs"
-            .to_string(),
-    )
-}
-
-/// Scenario 4: a bit-flipped newest checkpoint is skipped; resume falls
+/// Scenario 3: a bit-flipped newest checkpoint is skipped; resume falls
 /// back to the previous cut and still matches the baseline.
 fn corrupt_checkpoint_scenario(
     dir: &Path,
@@ -287,7 +228,6 @@ fn main() {
             &registry,
             &clean,
         ),
-        poisoned_lane_scenario(&registry),
         corrupt_checkpoint_scenario(&dir.join("corrupt"), &registry, &clean),
     ];
 

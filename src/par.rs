@@ -4,8 +4,7 @@
 //! points are embarrassingly parallel. This is a dependency-free
 //! `std::thread::scope` map that bounds the worker count by the shared
 //! knob ([`seqsim::pool::worker_count`]): the `SOC_SIM_THREADS`
-//! environment variable when set, the available parallelism otherwise —
-//! the same resolution the batched engine's lane groups use.
+//! environment variable when set, the available parallelism otherwise.
 //!
 //! Work is claimed in *chunks* through a single atomic index — the old
 //! per-item `Mutex<Option<T>>` input and output slots (two lock round
@@ -27,7 +26,7 @@ use std::sync::Mutex;
 /// have drained the remaining chunks; the re-raised payload is a
 /// `String` of the form `par_map item <i> panicked: <message>`.
 pub fn par_map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
-    let workers = seqsim::pool::worker_count(None);
+    let workers = seqsim::pool::worker_count();
     // ~4 claims per worker: coarse enough that claiming is a rare atomic
     // op, fine enough to balance uneven item costs.
     let chunk = items.len().div_ceil(workers * 4).max(1);
@@ -69,7 +68,7 @@ pub(crate) fn par_map_chunked<T: Send, U: Send>(
             .collect()
     };
 
-    let workers = seqsim::pool::worker_count(None).min(tasks.len());
+    let workers = seqsim::pool::worker_count().min(tasks.len());
     let next = AtomicUsize::new(0);
     // First panic from `f` as (item index, message); caught per item so
     // the claiming loop keeps draining — one bad item never strands the

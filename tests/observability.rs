@@ -124,6 +124,6 @@ fn plain_run_is_unobserved() {
         .run_config(rc)
         .session()
         .expect("seq engine builds");
-    let r = &session.run_fig1(0.05, 3).expect("run failed")[0];
+    let r = session.run_fig1(0.05, 3).expect("run failed");
     assert!(r.metrics.is_none(), "plain runs carry no metrics snapshot");
 }
