@@ -2226,7 +2226,7 @@ mod tests {
         let report = eng
             .take_profiler()
             .expect("attached")
-            .report("seqsim-compiled", 0.0, 0);
+            .report("seqsim-compiled", 0.0);
         assert_eq!(report.cycles, 10);
         for e in &report.entries {
             assert_eq!(e.evals, 10, "one update per block per cycle");
@@ -2622,7 +2622,7 @@ mod tests {
         let report = eng
             .take_profiler()
             .expect("attached")
-            .report("seqsim-compiled", 0.0, 0);
+            .report("seqsim-compiled", 0.0);
         assert_eq!(
             report.cycles, 50,
             "begin/end_cycle once per simulated cycle"

@@ -197,11 +197,8 @@ pub struct DynamicEngine {
     /// count; exceeded means a non-converging combinational loop.
     cap_factor: usize,
     /// Delta cycles spent in the system cycle currently open (between
-    /// [`begin_cycle`](Self::begin_cycle) and
-    /// [`finish_cycle`](Self::finish_cycle)); persists across the
-    /// multiple [`stabilize`](Self::stabilize) calls a sharded cycle
-    /// makes, so the per-cycle budget and the trace's delta numbering
-    /// span the whole cycle.
+    /// `begin_cycle` and `finish_cycle`): the per-cycle budget and the
+    /// trace's delta numbering count from it.
     delta_in_cycle: u32,
     /// The first error this engine hit. Once set, every further
     /// `try_*` call returns a clone of it: a diverged engine holds a
@@ -470,13 +467,7 @@ impl DynamicEngine {
     /// Open a system cycle: reset every HBR bit ("Every system cycle is
     /// started by resetting all status bits to zero"), mark every block
     /// unevaluated and zero the cycle's delta counter.
-    ///
-    /// [`step`](Self::step) is `begin_cycle`, one
-    /// [`stabilize`](Self::stabilize), then
-    /// [`finish_cycle`](Self::finish_cycle). The sharded engine drives
-    /// the phases itself, interleaving extra `stabilize` calls with
-    /// boundary-value exchanges until no boundary changes.
-    pub fn begin_cycle(&mut self) {
+    fn begin_cycle(&mut self) {
         self.links.reset_hbr();
         self.evaluated.iter_mut().for_each(|e| *e = false);
         self.worklist.begin_cycle();
@@ -490,28 +481,14 @@ impl DynamicEngine {
     }
 
     /// Evaluate until every block is stable under the configured
-    /// scheduling policy, and return the number of delta cycles this call
-    /// spent. Re-entrant within one system cycle: a later
-    /// [`write_boundary`](Self::write_boundary) may re-arm consumers, and
-    /// the next `stabilize` call evaluates exactly those.
-    ///
-    /// Panics if the cycle diverges; use
-    /// [`try_stabilize`](Self::try_stabilize) to receive
-    /// [`SimError::Diverged`] instead.
-    pub fn stabilize(&mut self) -> u32 {
-        match self.try_stabilize() {
-            Ok(d) => d,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`stabilize`](Self::stabilize) with the convergence watchdog
-    /// surfacing as a typed error: once `cap_factor × blocks` delta
-    /// cycles have been spent inside one system cycle without reaching
-    /// the fixed point, returns [`SimError::Diverged`] naming the
-    /// still-unstable blocks (identically under all three scheduling
-    /// policies) and marks the engine broken.
-    pub fn try_stabilize(&mut self) -> Result<u32, SimError> {
+    /// scheduling policy, and return the number of delta cycles spent.
+    /// The convergence watchdog surfaces as a typed error: once
+    /// `cap_factor × blocks` delta cycles have been spent inside one
+    /// system cycle without reaching the fixed point, returns
+    /// [`SimError::Diverged`] naming the still-unstable blocks
+    /// (identically under all three scheduling policies) and marks the
+    /// engine broken.
+    fn try_stabilize(&mut self) -> Result<u32, SimError> {
         if let Some(e) = &self.broken {
             return Err(e.clone());
         }
@@ -604,7 +581,7 @@ impl DynamicEngine {
 
     /// Close a system cycle: swap the state banks, record the delta
     /// accounting and advance simulated time.
-    pub fn finish_cycle(&mut self) {
+    fn finish_cycle(&mut self) {
         let n = self.spec.blocks().len();
         let delta = self.delta_in_cycle;
         self.state.swap();
@@ -615,28 +592,6 @@ impl DynamicEngine {
         }
         self.cycle += 1;
         self.delta_in_cycle = 0;
-    }
-
-    /// Mid-cycle write to an external link carrying a value from another
-    /// engine's boundary (the sharded engine's mailbox application).
-    ///
-    /// Unlike [`set_external`](Self::set_external) — which is only safe
-    /// *between* cycles because the worklist does not observe it — this
-    /// keeps the incremental stability tracker consistent: a changed
-    /// value that clears a read HBR bit re-arms the consumer, so the next
-    /// [`stabilize`](Self::stabilize) call re-evaluates it.
-    pub fn write_boundary(&mut self, l: usize, value: u64) {
-        debug_assert!(
-            matches!(
-                self.spec.links()[l].driver,
-                crate::block::LinkDriver::External
-            ),
-            "boundary link {l} is not host/peer writable"
-        );
-        let (_changed, rearmed) = self.links.write_tracked(l, value);
-        if rearmed {
-            self.worklist.on_rearm(l);
-        }
     }
 
     /// Simulate `n` system cycles. Panics on divergence; see

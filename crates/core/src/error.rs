@@ -1,7 +1,7 @@
 //! The structured error taxonomy of the simulation engines.
 //!
 //! The hot failure paths of the workspace — a non-converging §4.2 fixed
-//! point, a crashed shard worker, a violated network invariant — used to
+//! point, a crashed campaign worker, a violated network invariant — used to
 //! panic (or worse, spin). They now surface as typed [`SimError`]s so a
 //! host program can report, checkpoint or retry instead of aborting, and
 //! so the differential suites can assert that *failures* are as
@@ -27,14 +27,6 @@ pub enum SimError {
         /// Tail of the schedule trace leading up to the failure (empty
         /// unless tracing was enabled on the engine).
         last_trace: Vec<TraceEvent>,
-    },
-    /// A shard worker failed (panicked or hit its own `SimError`); the
-    /// barrier was poisoned and every worker joined cleanly.
-    ShardFailed {
-        /// Index of the first failing shard.
-        shard: usize,
-        /// The panic payload or inner error message.
-        payload: String,
     },
     /// A runtime invariant check (flit conservation, queue bounds, HBR
     /// sanity) failed.
@@ -83,9 +75,6 @@ impl fmt::Display for SimError {
                 unstable_blocks.len(),
                 &unstable_blocks[..unstable_blocks.len().min(8)]
             ),
-            SimError::ShardFailed { shard, payload } => {
-                write!(f, "shard {shard} failed: {payload}")
-            }
             SimError::InvariantViolated {
                 cycle,
                 invariant,
@@ -128,12 +117,6 @@ mod tests {
         assert!(s.contains("20 block(s)"));
         // The block list is truncated, not dumped wholesale.
         assert!(!s.contains("19"));
-
-        let e = SimError::ShardFailed {
-            shard: 3,
-            payload: "boom".into(),
-        };
-        assert_eq!(e.to_string(), "shard 3 failed: boom");
 
         let e = SimError::InvariantViolated {
             cycle: 12,

@@ -49,8 +49,7 @@ impl KernelInstr {
     }
 
     /// Instrumentation publishing into `registry` under an `engine`
-    /// label, tracing into `tracer`. The label is any string — per-shard
-    /// engines pass computed labels like `seqsim.shard3`.
+    /// label, tracing into `tracer`.
     pub fn with_registry(registry: &Registry, tracer: Tracer, engine: &str) -> Self {
         let labels = [("engine", lbl(engine))];
         KernelInstr {

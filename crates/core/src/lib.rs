@@ -58,6 +58,7 @@
 //! assert!(engine.stats().delta_cycles >= 30);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Positional `for i in 0..n` loops indexing several parallel arrays are
 // the natural shape for port/node-indexed hardware code; iterator zips
@@ -76,7 +77,6 @@ pub mod dynamic_sched;
 pub mod error;
 pub mod instrument;
 pub mod links;
-pub mod pool;
 pub mod profiler;
 pub mod side;
 pub mod state;
@@ -99,7 +99,6 @@ pub use dynamic_sched::{DynamicEngine, HybridRun, HybridSchedule, Scheduling, Sn
 pub use error::SimError;
 pub use instrument::KernelInstr;
 pub use links::LinkMemory;
-pub use pool::{BarrierPoisoned, ScopedTask, SpinBarrier, ThreadPool};
 pub use profiler::KernelProfiler;
 pub use side::{SideMem, SideView};
 pub use state::StateMemory;

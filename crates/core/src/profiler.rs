@@ -182,10 +182,8 @@ impl KernelProfiler {
     /// Harvest the profile. `engine` labels the report (flamegraph
     /// root frame); `wall_s` is the caller-measured wall clock of the
     /// profiled region (0.0 when unknown). Per-block self time is the
-    /// timed-sample mean scaled to the full eval count. Block indices
-    /// can be offset (sharded engines merge several sub-engines into
-    /// one report) via `block_base`.
-    pub fn report(&self, engine: &str, wall_s: f64, block_base: usize) -> ProfileReport {
+    /// timed-sample mean scaled to the full eval count.
+    pub fn report(&self, engine: &str, wall_s: f64) -> ProfileReport {
         let mut report = ProfileReport {
             engine: engine.to_string(),
             cycles: self.cycles,
@@ -203,7 +201,7 @@ impl KernelProfiler {
             };
             report.entries.push(ProfileEntry {
                 scc,
-                block: block_base + b,
+                block: b,
                 name: self.names[b].clone(),
                 fixed_point: self.scc_blocks[scc] > 1,
                 evals: self.evals[b],
@@ -251,7 +249,7 @@ mod tests {
             p.end_cycle();
         }
         assert_eq!(p.cycles(), 4);
-        let r = p.report("test", 1.0, 0);
+        let r = p.report("test", 1.0);
         assert_eq!(r.entries[0].evals, 4);
         assert_eq!(r.entries[1].evals, 8);
         assert_eq!(r.entries[1].hbr_retries, 4);
@@ -289,8 +287,7 @@ mod tests {
         }
         p.end_cycle();
 
-        let r = p.report("seqsim", 0.0, 10);
-        assert_eq!(r.entries[0].block, 10, "block_base offsets indices");
+        let r = p.report("seqsim", 0.0);
         assert_eq!(r.entries[0].name, "r0");
         assert!(r.entries[0].fixed_point);
         assert!(!r.entries[2].fixed_point);

@@ -11,16 +11,16 @@
 //!
 //! let cfg = NetworkConfig::new(3, 3, Topology::Torus, 4);
 //! let mut engine = SimBuilder::new(cfg)
-//!     .engine(EngineKind::Sharded { threads: 2 })
+//!     .engine(EngineKind::SeqCompiled)
 //!     .try_build()
 //!     .expect("engine builds");
 //! engine.run(100);
 //! assert_eq!(engine.cycle(), 100);
 //! ```
 //!
-//! The `noc` crate only knows the engines it defines (native, the
-//! sequential-simulator family, the sharded parallel engine). The
-//! SystemC-like and VHDL-like backends live in crates that *depend on*
+//! The `noc` crate only knows the engines it defines (native and the
+//! sequential-simulator family). The SystemC-like and VHDL-like
+//! backends live in crates that *depend on*
 //! `noc`, so they cannot be constructed here directly; instead the
 //! builder carries a factory table and those kinds are satisfied by
 //! [`SimBuilder::register`]. The `soc_sim` meta-crate's `sim(cfg)`
@@ -32,11 +32,10 @@ use crate::native::NativeNoc;
 use crate::runner::RunConfig;
 use crate::seq::SeqNoc;
 use crate::session::Session;
-use crate::shard::{partition, ShardedSeqEngine};
 use noc_types::fault::FaultPlan;
 use noc_types::NetworkConfig;
 use seqsim::{Scheduling, SimError};
-use speccheck::{analyze_graph, check_cut, Analysis, AnalyzeOptions, Severity, SpecGraph};
+use speccheck::{analyze_graph, Analysis, AnalyzeOptions, Severity, SpecGraph};
 use std::sync::Arc;
 use vc_router::IfaceConfig;
 
@@ -59,13 +58,6 @@ pub enum EngineKind {
     /// The VHDL-like netlist engine (registered by the `rtl` crate via
     /// [`SimBuilder::register`]).
     Rtl,
-    /// The sharded parallel delta-cycle engine: `threads` tiles, each on
-    /// its own worker, boundary values exchanged through double-buffered
-    /// mailboxes. Bit-identical to [`EngineKind::Seq`].
-    Sharded {
-        /// Worker/shard count (clamped to the node count; 1 runs inline).
-        threads: usize,
-    },
 }
 
 impl EngineKind {
@@ -77,25 +69,8 @@ impl EngineKind {
             EngineKind::SeqCompiled => "seqsim-compiled",
             EngineKind::CycleSim => "systemc",
             EngineKind::Rtl => "rtl",
-            EngineKind::Sharded { .. } => "seqsim-sharded",
         }
     }
-}
-
-/// How the sequential engine schedules delta cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Run the `speccheck` analyzer at build time and adopt its hybrid
-    /// schedule (§4.1 static order over the SCC condensation, §4.2 HBR
-    /// fixed point only inside multi-block SCCs) when no error-severity
-    /// diagnostics exist. Bit-identical to [`SchedulePolicy::Dynamic`]
-    /// by construction — the hybrid order still runs on the HBR
-    /// worklist — but with fewer re-evaluations.
-    #[default]
-    Auto,
-    /// Keep the pure dynamic HBR round-robin scheduler (the paper's
-    /// baseline; used by benches for dynamic-vs-hybrid comparisons).
-    Dynamic,
 }
 
 /// Factory signature external crates register for their engine kinds.
@@ -109,7 +84,6 @@ pub struct SimBuilder {
     cfg: NetworkConfig,
     iface: IfaceConfig,
     kind: EngineKind,
-    schedule: SchedulePolicy,
     faults: Option<Arc<FaultPlan>>,
     run_config: RunConfig,
     profile: Option<u64>,
@@ -124,7 +98,6 @@ impl SimBuilder {
             cfg,
             iface: IfaceConfig::default(),
             kind: EngineKind::Seq,
-            schedule: SchedulePolicy::default(),
             faults: None,
             run_config: RunConfig::default(),
             profile: None,
@@ -144,22 +117,11 @@ impl SimBuilder {
         self
     }
 
-    /// Select the delta-cycle scheduling policy for the sequential
-    /// engine (other kinds ignore it).
-    pub fn schedule(mut self, policy: SchedulePolicy) -> Self {
-        self.schedule = policy;
-        self
-    }
-
     /// Attach a deterministic fault plan. Every backend applies it at the
     /// same architectural points, so faulty runs stay bit-identical
-    /// across engines.
+    /// across engines. A plan sized for a different network is reported
+    /// by [`try_build`](Self::try_build).
     pub fn faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        assert_eq!(
-            plan.num_nodes(),
-            self.cfg.num_nodes(),
-            "fault plan sized for a different network"
-        );
         self.faults = Some(plan);
         self
     }
@@ -193,18 +155,11 @@ impl SimBuilder {
 
     /// Run the static analyzer on the network this builder describes —
     /// the sequential engine's block/link graph — without building an
-    /// engine. For the sharded kind the partition's boundary cuts are
-    /// appended ([`speccheck::codes::SHARD_CUT_COMB`] warnings for each
-    /// combinational forward link crossing shards).
+    /// engine.
     pub fn lint(&self) -> Analysis {
         let seq = SeqNoc::with_faults(self.cfg, self.iface, self.faults.clone());
         let g = SpecGraph::from_spec(seq.engine().spec());
-        let mut a = analyze_graph(&g, &AnalyzeOptions::default());
-        if let EngineKind::Sharded { threads } = self.kind {
-            let shard_of = partition(self.cfg.num_nodes(), threads);
-            a.diagnostics.extend(check_cut(&g, &shard_of));
-        }
-        a
+        analyze_graph(&g, &AnalyzeOptions::default())
     }
 
     /// Build the engine, reporting misconfiguration as
@@ -212,8 +167,8 @@ impl SimBuilder {
     ///
     /// For the sequential kinds the `speccheck` analyzer runs on the
     /// assembled spec first: error-severity diagnostics refuse the
-    /// build, and under [`SchedulePolicy::Auto`] the derived hybrid
-    /// schedule is adopted ([`EngineKind::Seq`] only).
+    /// build, and [`EngineKind::Seq`] adopts the derived hybrid
+    /// schedule.
     pub fn try_build(self) -> Result<Box<dyn NocEngine>, SimError> {
         let profile = self.profile;
         let mut engine = self.try_build_engine()?;
@@ -224,6 +179,15 @@ impl SimBuilder {
     }
 
     fn try_build_engine(self) -> Result<Box<dyn NocEngine>, SimError> {
+        if let Some(plan) = &self.faults {
+            if plan.num_nodes() != self.cfg.num_nodes() {
+                return Err(SimError::Config(format!(
+                    "faults: plan sized for {} nodes, network has {}",
+                    plan.num_nodes(),
+                    self.cfg.num_nodes()
+                )));
+            }
+        }
         // Most-recent registration wins, including over built-ins.
         if let Some((_, f)) = self.factories.iter().rev().find(|(k, _)| *k == self.kind) {
             return Ok(f(self.cfg, self.iface, self.faults));
@@ -243,11 +207,9 @@ impl SimBuilder {
                 if analysis.has_errors() {
                     return Err(config_error(&analysis));
                 }
-                if self.schedule == SchedulePolicy::Auto {
-                    if let Some(schedule) = analysis.schedule {
-                        seq.engine_mut()
-                            .set_scheduling(Scheduling::Hybrid(Arc::new(schedule)));
-                    }
+                if let Some(schedule) = analysis.schedule {
+                    seq.engine_mut()
+                        .set_scheduling(Scheduling::Hybrid(Arc::new(schedule)));
                 }
                 Ok(Box::new(seq))
             }
@@ -259,12 +221,6 @@ impl SimBuilder {
                 }
                 Ok(Box::new(compiled))
             }
-            EngineKind::Sharded { threads } => Ok(Box::new(ShardedSeqEngine::with_faults(
-                self.cfg,
-                self.iface,
-                threads,
-                self.faults,
-            ))),
             kind @ (EngineKind::CycleSim | EngineKind::Rtl) => Err(SimError::Config(format!(
                 "engine kind {kind:?} is implemented outside the noc crate; \
                  build it through soc_sim::sim(cfg), or register a factory: \
@@ -329,7 +285,6 @@ mod tests {
             (EngineKind::Native, "native"),
             (EngineKind::Seq, "seqsim"),
             (EngineKind::SeqCompiled, "seqsim-compiled"),
-            (EngineKind::Sharded { threads: 2 }, "seqsim-sharded"),
         ] {
             let mut e = SimBuilder::new(cfg())
                 .engine(kind)
@@ -376,6 +331,25 @@ mod tests {
             .err()
             .expect("no factory registered");
         assert!(matches!(err, SimError::Config(_)), "{err:?}");
+        // A fault plan sized for another network, whatever the kind.
+        let plan = Arc::new(FaultPlan::new(cfg().num_nodes() + 1, 7));
+        for kind in [
+            EngineKind::Native,
+            EngineKind::Seq,
+            EngineKind::SeqCompiled,
+            EngineKind::CycleSim,
+        ] {
+            let err = SimBuilder::new(cfg())
+                .engine(kind)
+                .faults(plan.clone())
+                .try_build()
+                .err()
+                .expect("mis-sized plan refused");
+            assert!(
+                matches!(&err, SimError::Config(m) if m.starts_with("faults: ")),
+                "{kind:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -388,41 +362,22 @@ mod tests {
     }
 
     #[test]
-    fn lint_flags_shard_cuts_crossing_comb_links() {
-        let a = SimBuilder::new(cfg())
-            .engine(EngineKind::Sharded { threads: 2 })
-            .lint();
-        assert!(!a.has_errors());
-        // Forward links are combinational; the tile boundary cuts them.
-        assert!(a
-            .diagnostics
-            .iter()
-            .any(|d| d.code == speccheck::codes::SHARD_CUT_COMB));
-        // One shard: no cut, no warning.
-        let a = SimBuilder::new(cfg())
-            .engine(EngineKind::Sharded { threads: 1 })
-            .lint();
-        assert!(a
-            .diagnostics
-            .iter()
-            .all(|d| d.code != speccheck::codes::SHARD_CUT_COMB));
-    }
-
-    #[test]
-    fn schedule_policies_deliver_identically() {
+    fn schedules_deliver_identically() {
         use noc_types::{Coord, Flit};
         use vc_router::StimEntry;
-        let mut runs = Vec::new();
-        for (kind, policy) in [
-            (EngineKind::Seq, SchedulePolicy::Auto),
-            (EngineKind::Seq, SchedulePolicy::Dynamic),
-            (EngineKind::SeqCompiled, SchedulePolicy::Auto),
-        ] {
-            let mut e = SimBuilder::new(cfg())
+        let built = |kind| {
+            SimBuilder::new(cfg())
                 .engine(kind)
-                .schedule(policy)
                 .try_build()
-                .expect("builtin kind builds");
+                .expect("builtin kind builds")
+        };
+        let mut runs = Vec::new();
+        // Hybrid schedule, the pure-HBR reference, the compiled kernel.
+        for mut e in [
+            built(EngineKind::Seq),
+            Box::new(SeqNoc::new(cfg(), IfaceConfig::default())),
+            built(EngineKind::SeqCompiled),
+        ] {
             for node in 0..cfg().num_nodes() {
                 e.push_stim(
                     node,

@@ -290,11 +290,7 @@ mod tests {
 
     #[test]
     fn clean_runs_conserve_flits_on_every_builtin() {
-        for kind in [
-            EngineKind::Native,
-            EngineKind::Seq,
-            EngineKind::Sharded { threads: 2 },
-        ] {
+        for kind in [EngineKind::Native, EngineKind::Seq, EngineKind::SeqCompiled] {
             let checker = run_checked(kind);
             assert!(checker.checks() >= 20);
             assert_eq!(checker.violations(), 0, "{kind:?}");

@@ -208,14 +208,14 @@ impl NocEngine for CompiledNoc {
 
     fn attach_profiler(&mut self, sample_every: u64) -> bool {
         self.engine
-            .attach_profiler(attributed_profiler(self.engine.spec(), sample_every, 0));
+            .attach_profiler(attributed_profiler(self.engine.spec(), sample_every));
         true
     }
 
     fn take_profile(&mut self, wall_s: f64) -> Option<simtrace::ProfileReport> {
         self.engine
             .take_profiler()
-            .map(|p| p.report("seqsim-compiled", wall_s, 0))
+            .map(|p| p.report("seqsim-compiled", wall_s))
     }
 
     fn stim_capacity(&self) -> usize {

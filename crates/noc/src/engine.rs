@@ -24,7 +24,7 @@ pub struct Delivered {
 /// A bit- and cycle-accurate NoC simulation backend.
 pub trait NocEngine {
     /// Engine name for reports: "native", "seqsim", "seqsim-compiled",
-    /// "seqsim-sharded", "systemc" or "rtl".
+    /// "systemc" or "rtl".
     fn name(&self) -> &'static str;
 
     /// The simulated network's configuration.
@@ -41,8 +41,8 @@ pub trait NocEngine {
     fn step(&mut self);
 
     /// Simulate one system cycle, surfacing engine failures
-    /// (non-convergence, shard death) as a typed [`SimError`] instead of
-    /// a panic. Engines without fallible paths inherit this default.
+    /// (non-convergence) as a typed [`SimError`] instead of a panic.
+    /// Engines without fallible paths inherit this default.
     fn try_step(&mut self) -> Result<(), SimError> {
         self.step();
         Ok(())

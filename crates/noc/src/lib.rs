@@ -70,11 +70,10 @@ pub mod obs;
 pub mod runner;
 pub mod seq;
 pub mod session;
-pub mod shard;
 pub mod supervise;
 pub mod wiring;
 
-pub use build::{EngineKind, SchedulePolicy, SimBuilder};
+pub use build::{EngineKind, SimBuilder};
 pub use check::InvariantChecker;
 pub use ckpt::{CampaignCkpt, CheckpointConfig};
 pub use compiled::CompiledNoc;
@@ -87,6 +86,5 @@ pub use runner::{fig1_guarantee, run_fig1_point, ChaosConfig, Heartbeat, RunConf
 pub use seq::SeqNoc;
 pub use seqsim::SimError;
 pub use session::Session;
-pub use shard::ShardedSeqEngine;
 pub use supervise::{SuperviseReport, Supervisor};
 pub use wiring::Wiring;

@@ -799,9 +799,9 @@ fn campaign_fingerprint(engine: &str, cfg: &NetworkConfig, rc: &RunConfig) -> u6
 /// attached to the registry, the network is sampled during the simulate
 /// phase, and the report carries a metrics snapshot.
 ///
-/// Returns the engine's own typed failures ([`SimError::Diverged`],
-/// [`SimError::ShardFailed`]) and — on a clean run — delivery-protocol
-/// violations or, with [`RunConfig::check`], invariant violations as
+/// Returns the engine's own typed failures ([`SimError::Diverged`]) and
+/// — on a clean run — delivery-protocol violations or, with
+/// [`RunConfig::check`], invariant violations as
 /// [`SimError::InvariantViolated`]. Under an active fault plan,
 /// delivery-protocol violations are the expected downstream signature of
 /// injected faults and are tolerated and counted in

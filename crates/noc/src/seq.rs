@@ -240,25 +240,20 @@ pub(crate) fn build_noc_spec(
 /// A [`seqsim::KernelProfiler`] with its attribution taken from the
 /// `speccheck` condensation of `spec`: block names from the spec graph,
 /// block→SCC indices and per-SCC convergence bounds from the analyzer.
-/// Shared by the flat and sharded sequential backends.
-pub(crate) fn attributed_profiler(
-    spec: &SystemSpec,
-    sample_every: u64,
-    name_base: usize,
-) -> seqsim::KernelProfiler {
+/// Shared by the worklist and compiled sequential backends.
+pub(crate) fn attributed_profiler(spec: &SystemSpec, sample_every: u64) -> seqsim::KernelProfiler {
     let graph = speccheck::SpecGraph::from_spec(spec);
     let analysis = speccheck::analyze_graph(&graph, &speccheck::AnalyzeOptions::default());
     let mut p = seqsim::KernelProfiler::new(spec.blocks().len(), sample_every);
     p.set_attribution(
         // Kind names repeat across instances ("vc-router" x36), so each
-        // block gets its global index appended — flamegraph stacks stay
-        // distinct and `simprof diff` joins block to block. `name_base`
-        // globalizes the index for sharded engines (local + node_lo).
+        // block gets its index appended — flamegraph stacks stay
+        // distinct and `simprof diff` joins block to block.
         graph
             .blocks
             .iter()
             .enumerate()
-            .map(|(i, b)| format!("{}.{}", b.name, name_base + i))
+            .map(|(i, b)| format!("{}.{}", b.name, i))
             .collect(),
         analysis.scc_of(),
         analysis
@@ -334,14 +329,14 @@ impl NocEngine for SeqNoc {
 
     fn attach_profiler(&mut self, sample_every: u64) -> bool {
         self.engine
-            .attach_profiler(attributed_profiler(self.engine.spec(), sample_every, 0));
+            .attach_profiler(attributed_profiler(self.engine.spec(), sample_every));
         true
     }
 
     fn take_profile(&mut self, wall_s: f64) -> Option<simtrace::ProfileReport> {
         self.engine
             .take_profiler()
-            .map(|p| p.report("seqsim", wall_s, 0))
+            .map(|p| p.report("seqsim", wall_s))
     }
 
     fn stim_capacity(&self) -> usize {

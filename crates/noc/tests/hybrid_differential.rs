@@ -2,21 +2,22 @@
 //!
 //! `Scheduling::Hybrid` must be a pure *performance* choice: under
 //! identical seeded traffic it has to produce the bit-identical
-//! delivered-flit and access-delay streams as the default dynamic
-//! round-robin schedule, on every topology — and it has to *earn* its
-//! keep by spending fewer delta cycles where the dynamic order wastes
-//! them (the §4.2 re-evaluation warmup).
+//! delivered-flit and access-delay streams as the pure dynamic
+//! round-robin schedule ([`SeqNoc::new`]), on every topology — and it
+//! has to *earn* its keep by spending fewer delta cycles where the
+//! dynamic order wastes them (the §4.2 re-evaluation warmup).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use noc::diff::{assert_traces_equal, collect_trace};
-use noc::{SchedulePolicy, SimBuilder};
+use noc::{NocEngine, SeqNoc, SimBuilder};
 use noc_types::{NetworkConfig, Topology};
 use seqsim::demo::comb_demo;
 use seqsim::{DynamicEngine, Scheduling};
 use speccheck::analyze_spec;
 use std::sync::Arc;
 use traffic::{BeConfig, TrafficConfig};
+use vc_router::IfaceConfig;
 
 fn traffic_for(cfg: NetworkConfig) -> TrafficConfig {
     TrafficConfig {
@@ -27,12 +28,11 @@ fn traffic_for(cfg: NetworkConfig) -> TrafficConfig {
     }
 }
 
-fn run_policy(cfg: NetworkConfig, policy: SchedulePolicy, cycles: u64) -> noc::diff::Trace {
-    let mut e = SimBuilder::new(cfg)
-        .schedule(policy)
-        .try_build()
-        .expect("seq engine builds");
-    collect_trace(e.as_mut(), &traffic_for(cfg), cycles, 64)
+/// The sequential engine as the builder makes it (hybrid schedule) and
+/// as [`SeqNoc::new`] makes it (pure HBR round-robin, the reference).
+fn hybrid_and_dynamic(cfg: NetworkConfig) -> [Box<dyn NocEngine>; 2] {
+    let hybrid = SimBuilder::new(cfg).try_build().expect("seq engine builds");
+    [hybrid, Box::new(SeqNoc::new(cfg, IfaceConfig::default()))]
 }
 
 #[test]
@@ -44,8 +44,8 @@ fn hybrid_is_bit_identical_on_mesh_and_torus_suites() {
         (6, 6, Topology::Torus),
     ] {
         let cfg = NetworkConfig::new(w, h, topo, 4);
-        let hybrid = run_policy(cfg, SchedulePolicy::Auto, 400);
-        let dynamic = run_policy(cfg, SchedulePolicy::Dynamic, 400);
+        let [hybrid, dynamic] = hybrid_and_dynamic(cfg)
+            .map(|mut e| collect_trace(e.as_mut(), &traffic_for(cfg), 400, 64));
         let delivered: usize = hybrid.delivered.iter().map(Vec::len).sum();
         assert!(delivered > 0, "{w}x{h} {topo:?}: no traffic delivered");
         assert_traces_equal("hybrid", &hybrid, "dynamic", &dynamic);
@@ -57,11 +57,7 @@ fn hybrid_spends_fewer_deltas_on_idle_6x6_mesh() {
     let cfg = NetworkConfig::new(6, 6, Topology::Mesh, 4);
     let cycles = 200u64;
     let mut totals = Vec::new();
-    for policy in [SchedulePolicy::Auto, SchedulePolicy::Dynamic] {
-        let mut e = SimBuilder::new(cfg)
-            .schedule(policy)
-            .try_build()
-            .expect("seq engine builds");
+    for mut e in hybrid_and_dynamic(cfg) {
         e.run(cycles);
         let stats = e.delta_stats().expect("seq engine exposes delta stats");
         assert_eq!(stats.system_cycles, cycles);

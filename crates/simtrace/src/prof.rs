@@ -61,7 +61,7 @@ pub struct SccProfile {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileReport {
     /// Engine id the profile came from (e.g. `seqsim`,
-    /// `seqsim-sharded`).
+    /// `seqsim-compiled`).
     pub engine: String,
     /// System cycles covered.
     pub cycles: u64,

@@ -79,8 +79,6 @@ enum Phase {
     Instant,
     /// Chrome "C": a counter sample (args are the series values).
     Counter,
-    /// Chrome "M": metadata (track naming).
-    Meta,
 }
 
 #[derive(Debug, Clone)]
@@ -89,10 +87,6 @@ struct Event {
     cat: &'static str,
     ts_us: f64,
     phase: Phase,
-    /// Chrome `tid` — the track the event renders on. Track 0 is the
-    /// main (host) track; the sharded engine gives each shard its own
-    /// track so per-shard spans stack instead of interleaving.
-    track: u64,
     args: Vec<(&'static str, ArgValue)>,
 }
 
@@ -110,12 +104,10 @@ impl Event {
             }
             Phase::Instant => out.push_str("\"i\",\"s\":\"g\""),
             Phase::Counter => out.push_str("\"C\""),
-            Phase::Meta => out.push_str("\"M\""),
         }
         out.push_str(",\"ts\":");
         json::write_f64(out, self.ts_us);
-        out.push_str(",\"pid\":0,\"tid\":");
-        out.push_str(&self.track.to_string());
+        out.push_str(",\"pid\":0,\"tid\":0");
         if !self.args.is_empty() {
             out.push_str(",\"args\":{");
             for (i, (k, v)) in self.args.iter().enumerate() {
@@ -192,45 +184,13 @@ impl Tracer {
     /// Start a span; it ends (and is recorded) when the guard drops.
     #[inline]
     pub fn span(&self, name: &'static str, cat: &'static str) -> Span {
-        self.span_track(name, cat, 0)
-    }
-
-    /// Start a span on an explicit track (Chrome `tid`). Spans on
-    /// different tracks render as separate rows in Perfetto — used by the
-    /// sharded engine to give each shard worker its own row. Track 0 is
-    /// the main (host) track.
-    #[inline]
-    pub fn span_track(&self, name: &'static str, cat: &'static str, track: u64) -> Span {
         Span {
             tracer: self.clone(),
             name,
             cat,
-            track,
             start: self.inner.as_ref().map(|_| Instant::now()),
             args: Vec::new(),
         }
-    }
-
-    /// Give a track a human-readable name (a Chrome `thread_name`
-    /// metadata event). Call once per track; viewers label the row with
-    /// `name` instead of the raw tid.
-    pub fn name_track(&self, track: u64, name: &str) {
-        let Some(inner) = self.inner.as_ref() else {
-            return;
-        };
-        let ev = Event {
-            name: "thread_name",
-            cat: "__metadata",
-            ts_us: Self::now_us(inner),
-            phase: Phase::Meta,
-            track,
-            args: vec![("name", ArgValue::Str(name.to_string()))],
-        };
-        inner
-            .events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(ev);
     }
 
     /// Record an instant event.
@@ -249,7 +209,6 @@ impl Tracer {
             cat,
             ts_us: Self::now_us(inner),
             phase: Phase::Instant,
-            track: 0,
             args: args.to_vec(),
         };
         inner
@@ -270,7 +229,6 @@ impl Tracer {
             cat: "counter",
             ts_us: Self::now_us(inner),
             phase: Phase::Counter,
-            track: 0,
             args: values.iter().map(|&(k, v)| (k, ArgValue::F64(v))).collect(),
         };
         inner
@@ -285,7 +243,6 @@ impl Tracer {
         name: &'static str,
         cat: &'static str,
         start: Instant,
-        track: u64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
         let Some(inner) = self.inner.as_ref() else {
@@ -298,7 +255,6 @@ impl Tracer {
             cat,
             ts_us,
             phase: Phase::Complete { dur_us },
-            track,
             args,
         };
         inner
@@ -390,7 +346,6 @@ pub struct Span {
     tracer: Tracer,
     name: &'static str,
     cat: &'static str,
-    track: u64,
     start: Option<Instant>,
     args: Vec<(&'static str, ArgValue)>,
 }
@@ -407,13 +362,8 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(start) = self.start.take() {
-            self.tracer.record_span(
-                self.name,
-                self.cat,
-                start,
-                self.track,
-                std::mem::take(&mut self.args),
-            );
+            self.tracer
+                .record_span(self.name, self.cat, start, std::mem::take(&mut self.args));
         }
     }
 }
@@ -474,26 +424,6 @@ mod tests {
         assert!(!Tracer::new().detail());
         assert!(Tracer::new_detailed().detail());
         assert!(!Tracer::disabled().detail());
-    }
-
-    #[test]
-    fn tracked_spans_carry_their_tid_and_name() {
-        let t = Tracer::new();
-        t.name_track(3, "shard 3");
-        drop(t.span_track("shard.run", "shard", 3));
-        drop(t.span("host", "runner"));
-        let chrome = t.to_chrome_json();
-        crate::json::validate(&chrome).expect("valid JSON");
-        assert!(chrome.contains("\"ph\":\"M\""), "metadata event: {chrome}");
-        assert!(chrome.contains("\"tid\":3"), "track id: {chrome}");
-        assert!(chrome.contains("\"tid\":0"), "main track: {chrome}");
-        assert!(chrome.contains("thread_name"));
-        assert!(chrome.contains("shard 3"));
-        // Disabled tracers stay inert for the new calls too.
-        let d = Tracer::disabled();
-        d.name_track(1, "x");
-        drop(d.span_track("s", "c", 1));
-        assert_eq!(d.len(), 0);
     }
 
     #[test]

@@ -608,45 +608,6 @@ fn two_color_order(
     out
 }
 
-/// Check a sharded partition: every link whose writer and reader live
-/// in different shards is a boundary cut; a cut crossing a
-/// *combinational* edge costs extra BSP exchange rounds every system
-/// cycle (the sharded engine iterates boundary exchanges to a fixed
-/// point, so this is a performance warning, not an error).
-/// `shard_of[b]` is the shard index of block `b`.
-pub fn check_cut(g: &SpecGraph, shard_of: &[usize]) -> Vec<Diagnostic> {
-    assert_eq!(shard_of.len(), g.blocks.len(), "one shard per block");
-    let writers = g.writers();
-    let readers = g.readers();
-    let mut ds = Vec::new();
-    for l in 0..g.links.len() {
-        if !g.link_is_comb(l, &writers) {
-            continue;
-        }
-        let crossing = writers[l].iter().any(|&(wb, _)| {
-            readers[l]
-                .iter()
-                .any(|&(rb, _)| shard_of[wb] != shard_of[rb])
-        });
-        if crossing {
-            let (wb, _) = writers[l][0];
-            let (rb, _) = readers[l][0];
-            ds.push(Diagnostic::new(
-                Severity::Warning,
-                codes::SHARD_CUT_COMB,
-                Site::Link(l),
-                format!(
-                    "shard cut between shard {} and shard {} crosses combinational \
-                     link {l}: each system cycle needs extra boundary exchange rounds",
-                    shard_of[wb], shard_of[rb]
-                ),
-            ));
-        }
-    }
-    normalize_diagnostics(&mut ds);
-    ds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

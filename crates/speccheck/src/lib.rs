@@ -18,8 +18,8 @@
 //!   full block graph is what the schedule is derived from.
 //! * [`analyze`] — the lint pass ([`Diagnostic`]s: multiple writers,
 //!   never-read/never-written links, width overflow, combinational
-//!   self-loops, unreachable blocks, shard cuts crossing combinational
-//!   edges, convergence-budget overruns) and the derived
+//!   self-loops, unreachable blocks, convergence-budget overruns) and
+//!   the derived
 //!   [`seqsim::HybridSchedule`]: a topological order over the
 //!   condensation in which singleton SCCs are evaluated exactly once
 //!   and only multi-block SCCs fall back to the HBR worklist.
@@ -40,8 +40,7 @@ pub mod graph;
 pub mod scc;
 
 pub use analyze::{
-    analyze_graph, analyze_spec, check_cut, normalize_diagnostics, Analysis, AnalyzeOptions,
-    SccInfo,
+    analyze_graph, analyze_spec, normalize_diagnostics, Analysis, AnalyzeOptions, SccInfo,
 };
 pub use bitflow::{bitflow_graph, BitValue, Bitflow, Narrowable};
 pub use graph::{GraphBlock, GraphLink, LinkClass, SpecGraph};

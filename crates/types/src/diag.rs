@@ -167,9 +167,6 @@ pub mod codes {
     pub const UNCONNECTED_OUTPUT: &str = "unconnected-output";
     /// A block no external/host input can reach.
     pub const UNREACHABLE_BLOCK: &str = "unreachable-block";
-    /// A sharded-engine boundary cut crosses a combinational edge
-    /// (extra BSP exchange rounds per system cycle).
-    pub const SHARD_CUT_COMB: &str = "shard-cut-comb";
     /// The worst-case convergence bound of a combinational SCC exceeds
     /// the divergence watchdog budget.
     pub const CONVERGENCE_BUDGET: &str = "convergence-budget";

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a *pure description*: which router is stalled in
 //! which cycle window, which input link is stuck idle or flips payload
 //! bits, and what fraction of offered packets is dropped or corrupted at
-//! injection. Every engine (native, sequential, sharded, SystemC-like,
+//! injection. Every engine (native, sequential, compiled, SystemC-like,
 //! VHDL-like) consumes the same plan through the same pure queries, so a
 //! faulty run is exactly as bit- and cycle-reproducible as a clean one —
 //! the differential suites extend to faulty runs unchanged.

@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
 # Kernel throughput benchmark: builds the harness and writes
-# BENCH_kernel.json (schema soc-sim/bench_kernel/v7) in the repo root.
-# Every row carries a "threads" field; the seqsim-sharded rows sweep the
-# worker count from 1 to the host's CPU count (--quick: threads 1 and 2).
+# BENCH_kernel.json (schema soc-sim/bench_kernel/v8) in the repo root.
 #
 #   scripts/bench.sh [--quick] [--out FILE]
 #
-# --quick shrinks every cycle budget and the thread sweep to the CI
-# smoke configuration; the output schema is identical. Extra arguments
-# are passed through to the bench_kernel binary.
+# --quick shrinks every cycle budget to the CI smoke configuration; the
+# output schema is identical. Extra arguments are passed through to the
+# bench_kernel binary.
 #
 # Regression gate: when BENCH_baseline.json exists in the repo root the
 # run finishes with `simprof bench-check`, failing if any baseline row's

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Local CI: exactly what .github/workflows/ci.yml runs.
-# All checks are offline — the workspace has no external dependencies
-# (crates/bench, which needs criterion, is excluded from the workspace).
+# All checks are offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,9 +21,6 @@ echo "==> speclint (zero error-severity diagnostics on built-in topologies)"
     --emit-program target/compiled_program.txt \
     --emit-bitflow target/bitflow_report.json
 
-echo "==> sharded differential suite (bit-identity vs SeqNoc)"
-cargo test -q -p noc --test sharded_differential
-
 echo "==> compiled-kernel differential suite (bytecode engine vs the interpreters)"
 cargo test -q -p noc compiled
 cargo test -q --test compiled_program
@@ -32,7 +28,6 @@ cargo test -q --test snapshot compiled
 
 echo "==> faulty differential suite (bit-identity under fault plans)"
 cargo test -q --test differential_engines engines_agree_under_fault_plans
-cargo test -q -p noc --test sharded_differential sharded_replays_fault_plans
 
 echo "==> resilience suite (checkpoint round-trips, kill-and-resume, supervisor)"
 cargo test -q -p noc --test resilience

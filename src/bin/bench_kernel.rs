@@ -8,9 +8,9 @@
 //!
 //! `--engines` filters the matrix to a comma-separated list of engine
 //! ids (e.g. `--engines seqsim,seqsim-compiled` re-runs just the
-//! compiled-vs-hybrid comparison in seconds); `seqsim-sharded` selects
-//! the thread sweep and `speccheck` the analyzer row. An id the harness
-//! does not know is refused with exit status 2.
+//! compiled-vs-hybrid comparison in seconds); `speccheck` selects the
+//! analyzer row. An id the harness does not know is refused with exit
+//! status 2.
 //!
 //! Two workloads per engine on the paper's 6x6 torus (depth 2):
 //!
@@ -19,44 +19,36 @@
 //!   through the five-phase runner; the reported rate is the *simulate
 //!   phase alone* via [`RunReport::sim_cycles_per_sec`].
 //!
-//! Plus a `seqsim-dynamic` row (the same engine with the
-//! analyzer-derived hybrid schedule switched off) for the
-//! dynamic-vs-hybrid comparison, a `seqsim-compiled` row (the hybrid
-//! schedule lowered at build time into a flat bytecode kernel,
-//! `schedule: "compiled"`), an idle scaling sweep from 2 to 256 routers
-//! for the sequential and native kernels, and a `seqsim-sharded` thread
-//! sweep (1 → the machine's CPU count) on both 6x6 workloads. Every row
-//! carries `threads`, a derived `sims_per_sec_per_core`, and a
-//! `schedule` field: `"hybrid"` iff the
-//! engine adopted the `speccheck` SCC schedule at build time,
-//! `"compiled"` for the bytecode kernels, `"dynamic"` for every pure
-//! delta-driven run. A final `speccheck/analyze` row times the
-//! build-time analyzer pass itself (spec assembly + graph extraction +
+//! Plus a `seqsim-compiled` row (the hybrid schedule lowered at build
+//! time into a flat bytecode kernel, `schedule: "compiled"`) and an idle
+//! scaling sweep from 2 to 256 routers for the sequential and native
+//! kernels. Every row carries a `schedule` field: `"hybrid"` for the
+//! sequential engine (it adopts the `speccheck` SCC schedule at build
+//! time), `"compiled"` for the bytecode kernel, `"dynamic"` for every
+//! other engine. A final `speccheck/analyze` row times the build-time
+//! analyzer pass itself (spec assembly + graph extraction +
 //! condensation + lints).
 //!
-//! `--quick` shrinks every cycle budget and the thread sweep (the CI
-//! smoke configuration); the output schema is identical. The JSON is
-//! self-checked with [`simtrace::json::validate`] before it is written.
+//! `--quick` shrinks every cycle budget (the CI smoke configuration);
+//! the output schema is identical. The JSON is self-checked with
+//! [`simtrace::json::validate`] before it is written.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use noc::{run_fig1_point, EngineKind, NocEngine, RunConfig, RunReport, SchedulePolicy};
+use noc::{run_fig1_point, EngineKind, NocEngine, RunConfig, RunReport};
 use noc_types::{NetworkConfig, Topology};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One measured configuration.
 struct Row {
-    /// Stable row id, `<engine>/<workload>/<w>x<h>[/tN]`.
+    /// Stable row id, `<engine>/<workload>/<w>x<h>`.
     id: String,
-    /// Engine id used in the harness (`seqsim-dynamic` ≠ kernel name).
+    /// Engine id used in the harness (`cyclesim` ≠ kernel name).
     engine: &'static str,
     /// What the engine reported via [`NocEngine::name`].
     kernel: &'static str,
     workload: &'static str,
     routers: usize,
-    /// Worker threads evaluating the network (1 for every engine except
-    /// the sharded one).
-    threads: usize,
     /// `"hybrid"` when the engine adopted the analyzer's SCC-condensed
     /// schedule at build time, `"compiled"` when that schedule was
     /// lowered into a bytecode program, `"dynamic"` otherwise.
@@ -71,9 +63,6 @@ struct Row {
 struct EngineSpec {
     id: &'static str,
     kind: EngineKind,
-    /// Delta-cycle scheduling policy handed to the builder (only the
-    /// sequential worklist kind acts on it).
-    policy: SchedulePolicy,
     /// Idle cycle budget at 6x6 for the full (non-quick) run; loaded
     /// budgets come from the shared [`RunConfig`].
     idle_cycles: u64,
@@ -83,25 +72,17 @@ impl EngineSpec {
     fn make(&self, cfg: NetworkConfig) -> Box<dyn NocEngine> {
         soc_sim::sim(cfg)
             .engine(self.kind)
-            .schedule(self.policy)
             .try_build()
             .expect("bench engine builds")
     }
 
-    fn threads(&self) -> usize {
-        match self.kind {
-            EngineKind::Sharded { threads } => threads,
-            _ => 1,
-        }
-    }
-
     /// The `schedule` label the rows report: the sequential worklist
-    /// engine under [`SchedulePolicy::Auto`] adopts the analyzer's
-    /// hybrid schedule; the compiled engine lowers that same schedule
-    /// into its bytecode program at build time.
+    /// engine adopts the analyzer's hybrid schedule; the compiled
+    /// engine lowers that same schedule into its bytecode program at
+    /// build time.
     fn schedule(&self) -> &'static str {
         match self.kind {
-            EngineKind::Seq if self.policy == SchedulePolicy::Auto => "hybrid",
+            EngineKind::Seq => "hybrid",
             EngineKind::SeqCompiled => "compiled",
             _ => "dynamic",
         }
@@ -113,47 +94,35 @@ fn engines() -> Vec<EngineSpec> {
         EngineSpec {
             id: "native",
             kind: EngineKind::Native,
-            policy: SchedulePolicy::Auto,
             idle_cycles: 50_000,
         },
         EngineSpec {
             id: "seqsim",
             kind: EngineKind::Seq,
-            policy: SchedulePolicy::Auto,
             idle_cycles: 20_000,
         },
         EngineSpec {
             id: "seqsim-compiled",
             kind: EngineKind::SeqCompiled,
-            policy: SchedulePolicy::Auto,
             idle_cycles: 50_000,
-        },
-        EngineSpec {
-            id: "seqsim-dynamic",
-            kind: EngineKind::Seq,
-            policy: SchedulePolicy::Dynamic,
-            idle_cycles: 20_000,
         },
         EngineSpec {
             id: "cyclesim",
             kind: EngineKind::CycleSim,
-            policy: SchedulePolicy::Auto,
             idle_cycles: 20_000,
         },
         EngineSpec {
             id: "rtl",
             kind: EngineKind::Rtl,
-            policy: SchedulePolicy::Auto,
             idle_cycles: 5_000,
         },
     ]
 }
 
-/// Every id `--engines` accepts: the engine table plus the thread sweep
-/// and the analyzer row.
+/// Every id `--engines` accepts: the engine table plus the analyzer row.
 fn known_ids() -> Vec<&'static str> {
     let mut ids: Vec<&'static str> = engines().iter().map(|e| e.id).collect();
-    ids.extend(["seqsim-sharded", "speccheck"]);
+    ids.push("speccheck");
     ids
 }
 
@@ -175,45 +144,11 @@ fn parse_engines(list: &str, known: &[&str]) -> Result<Vec<String>, String> {
     }
 }
 
-/// The sharded engine's thread sweep: 1, 2, 4, ... up to the machine's
-/// CPU count (quick mode: just {1, 2}).
-fn thread_sweep(quick: bool) -> Vec<usize> {
-    if quick {
-        return vec![1, 2];
-    }
-    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut sweep = vec![1usize];
-    let mut t = 2;
-    while t < cpus {
-        sweep.push(t);
-        t *= 2;
-    }
-    if cpus > 1 {
-        sweep.push(cpus);
-    }
-    // Always include 4: the headline comparison point even when the host
-    // has fewer cores (the schedule still runs, just time-sliced).
-    if !sweep.contains(&4) {
-        sweep.push(4);
-        sweep.sort_unstable();
-    }
-    sweep
-}
-
-fn row_suffix(threads: usize) -> String {
-    if threads == 1 {
-        String::new()
-    } else {
-        format!("/t{threads}")
-    }
-}
-
 /// Idle throughput: warm up, reset the delta counters, time `cycles`
 /// plain steps.
 fn bench_idle(
     id: &'static str,
     mut e: Box<dyn NocEngine>,
-    threads: usize,
     schedule: &'static str,
     cfg: NetworkConfig,
     cycles: u64,
@@ -228,17 +163,11 @@ fn bench_idle(
         .map(|d| d.delta_cycles as f64 / wall)
         .filter(|&r| r > 0.0);
     Row {
-        id: format!(
-            "{id}/idle/{}x{}{}",
-            cfg.shape.w,
-            cfg.shape.h,
-            row_suffix(threads)
-        ),
+        id: format!("{id}/idle/{}x{}", cfg.shape.w, cfg.shape.h),
         engine: id,
         kernel: e.name(),
         workload: "idle",
         routers: cfg.num_nodes(),
-        threads,
         schedule,
         cycles,
         wall_s: wall,
@@ -253,7 +182,6 @@ fn bench_idle(
 fn bench_loaded(
     id: &'static str,
     mut e: Box<dyn NocEngine>,
-    threads: usize,
     schedule: &'static str,
     cfg: NetworkConfig,
     rc: &RunConfig,
@@ -267,17 +195,11 @@ fn bench_loaded(
         .map(|p| p.1.as_secs_f64())
         .unwrap_or(0.0);
     Row {
-        id: format!(
-            "{id}/loaded/{}x{}{}",
-            cfg.shape.w,
-            cfg.shape.h,
-            row_suffix(threads)
-        ),
+        id: format!("{id}/loaded/{}x{}", cfg.shape.w, cfg.shape.h),
         engine: id,
         kernel: r.engine,
         workload: "loaded",
         routers: cfg.num_nodes(),
-        threads,
         schedule,
         cycles: r.cycles,
         wall_s: sim_wall,
@@ -299,14 +221,12 @@ fn push_row(out: &mut String, row: &Row) {
     simtrace::json::write_str(out, row.schedule);
     let _ = write!(
         out,
-        ", \"routers\": {}, \"threads\": {}, \"cycles\": {}, \"wall_s\": ",
-        row.routers, row.threads, row.cycles
+        ", \"routers\": {}, \"cycles\": {}, \"wall_s\": ",
+        row.routers, row.cycles
     );
     simtrace::json::write_f64(out, row.wall_s);
     out.push_str(", \"cycles_per_sec\": ");
     simtrace::json::write_f64(out, row.cycles_per_sec);
-    out.push_str(", \"sims_per_sec_per_core\": ");
-    simtrace::json::write_f64(out, row.cycles_per_sec / row.threads.max(1) as f64);
     out.push_str(", \"deltas_per_sec\": ");
     match row.deltas_per_sec {
         Some(d) => simtrace::json::write_f64(out, d),
@@ -324,7 +244,7 @@ fn main() {
         .map(|i| args[i + 1].clone())
         .unwrap_or_else(|| "BENCH_kernel.json".to_string());
     // `--engines a,b,c` restricts the matrix to the listed engine ids
-    // (the scaling/thread sweeps and the analyzer row included).
+    // (the scaling sweep and the analyzer row included).
     let only: Option<Vec<String>> = args.iter().position(|a| a == "--engines").map(|i| {
         let list = args
             .get(i + 1)
@@ -361,21 +281,13 @@ fn main() {
         let row = bench_idle(
             spec.id,
             spec.make(cfg),
-            spec.threads(),
             spec.schedule(),
             cfg,
             (spec.idle_cycles / div).max(200),
         );
         eprintln!("  {:<32} {:>10.1} cycles/s", row.id, row.cycles_per_sec);
         rows.push(row);
-        let row = bench_loaded(
-            spec.id,
-            spec.make(cfg),
-            spec.threads(),
-            spec.schedule(),
-            cfg,
-            &rc,
-        );
+        let row = bench_loaded(spec.id, spec.make(cfg), spec.schedule(), cfg, &rc);
         eprintln!("  {:<32} {:>10.1} cycles/s", row.id, row.cycles_per_sec);
         rows.push(row);
     }
@@ -391,17 +303,9 @@ fn main() {
         let spec = EngineSpec {
             id: "seqsim-compiled",
             kind: EngineKind::SeqCompiled,
-            policy: SchedulePolicy::Auto,
             idle_cycles: 0,
         };
-        let mut row = bench_loaded(
-            spec.id,
-            spec.make(cfg),
-            spec.threads(),
-            spec.schedule(),
-            cfg,
-            &rc_ckpt,
-        );
+        let mut row = bench_loaded(spec.id, spec.make(cfg), spec.schedule(), cfg, &rc_ckpt);
         row.id = format!(
             "seqsim-compiled/loaded-ckpt/{}x{}",
             cfg.shape.w, cfg.shape.h
@@ -410,37 +314,6 @@ fn main() {
         eprintln!("  {:<32} {:>10.1} cycles/s", row.id, row.cycles_per_sec);
         rows.push(row);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // Sharded thread sweep on the 6x6 workloads: the parallel-schedule
-    // scaling curve (threads = shards = workers).
-    let sweep = if keep("seqsim-sharded") {
-        thread_sweep(quick)
-    } else {
-        Vec::new()
-    };
-    eprintln!("# sharded thread sweep (threads in {sweep:?})");
-    for &threads in &sweep {
-        let kind = EngineKind::Sharded { threads };
-        let mk = || {
-            soc_sim::sim(cfg)
-                .engine(kind)
-                .try_build()
-                .expect("sharded engine builds")
-        };
-        let row = bench_idle(
-            "seqsim-sharded",
-            mk(),
-            threads,
-            "dynamic",
-            cfg,
-            (20_000 / div).max(200),
-        );
-        eprintln!("  {:<32} {:>10.1} cycles/s", row.id, row.cycles_per_sec);
-        rows.push(row);
-        let row = bench_loaded("seqsim-sharded", mk(), threads, "dynamic", cfg, &rc);
-        eprintln!("  {:<32} {:>10.1} cycles/s", row.id, row.cycles_per_sec);
-        rows.push(row);
     }
 
     // Idle scaling sweep, 2 -> 256 routers (paper §7: the sequential
@@ -470,7 +343,6 @@ fn main() {
             let row = bench_idle(
                 spec.id,
                 spec.make(swept),
-                spec.threads(),
                 spec.schedule(),
                 swept,
                 (4_000 / div).max(200),
@@ -482,7 +354,7 @@ fn main() {
 
     // Build-time analyzer cost on the bench network: spec assembly,
     // graph extraction, SCC condensation and the lint passes — what
-    // every `SchedulePolicy::Auto` build pays before cycle zero.
+    // every sequential-engine build pays before cycle zero.
     if keep("speccheck") {
         let reps = if quick { 5u64 } else { 50 };
         eprintln!("# speccheck analyzer ({reps} passes)");
@@ -500,7 +372,6 @@ fn main() {
             kernel: "speccheck",
             workload: "analyze",
             routers: cfg.num_nodes(),
-            threads: 1,
             schedule: "hybrid",
             cycles: reps,
             wall_s: wall,
@@ -512,13 +383,8 @@ fn main() {
     }
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"soc-sim/bench_kernel/v7\",\n");
+    json.push_str("{\n  \"schema\": \"soc-sim/bench_kernel/v8\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(
-        json,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    );
     json.push_str(
         "  \"workloads\": {\"idle\": \"no traffic\", \"loaded\": \"fig1 GT + BE 0.10, seed 7, simulate phase only\", \"analyze\": \"speccheck static pass, cycles = passes\"},\n",
     );
@@ -552,11 +418,13 @@ mod tests {
                 "speccheck".to_string()
             ])
         );
-        assert_eq!(
-            parse_engines("seqsim-sharded", &known),
-            Ok(vec!["seqsim-sharded".to_string()])
-        );
-        for retired in ["seqsim-batched", "seqsim-naive", "seqsmi"] {
+        for retired in [
+            "seqsim-sharded",
+            "seqsim-dynamic",
+            "seqsim-batched",
+            "seqsim-naive",
+            "seqsmi",
+        ] {
             let err = parse_engines(&format!("native,{retired}"), &known)
                 .expect_err("unknown id must be refused");
             assert!(err.contains(retired), "{err}");

@@ -194,9 +194,9 @@ fn fault_differential(seed: u64) -> Result<(), SimError> {
     let kinds = [
         EngineKind::Native,
         EngineKind::Seq,
+        EngineKind::SeqCompiled,
         EngineKind::CycleSim,
         EngineKind::Rtl,
-        EngineKind::Sharded { threads: 2 },
     ];
     let mut reference: Option<noc::diff::Trace> = None;
     println!("| engine | delivered flits | bit-identical |");

@@ -19,13 +19,13 @@
 //!
 //! Each target is analyzed before any cycle is simulated: the block/link
 //! graph is extracted, SCC-condensed, and linted (multiple writers, dead
-//! links, width overflow, combinational loops, shard cuts, convergence
-//! budget). The exit status is non-zero iff any target produces an
+//! links, width overflow, combinational loops, convergence budget).
+//! The exit status is non-zero iff any target produces an
 //! error-severity diagnostic — CI runs this as a hard gate.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use noc::{EngineKind, SimBuilder, SimError};
+use noc::{SimBuilder, SimError};
 use noc_types::{NetworkConfig, Topology};
 use rtl_kernel::RtlNoc;
 use seqsim::demo::{comb_demo, registered_demo};
@@ -67,8 +67,7 @@ fn flag_word(args: &[String], flag: &str) -> Result<Option<String>, SimError> {
 fn all_targets() -> Vec<Row> {
     let mut rows = Vec::new();
     // NoC networks on the sequential engine, both topologies, several
-    // sizes; the 4x4 sharded variant additionally audits the partition
-    // cuts for combinational crossings.
+    // sizes.
     for (w, h) in [(3u8, 3u8), (4, 4), (6, 6)] {
         for topo in [Topology::Torus, Topology::Mesh] {
             let cfg = NetworkConfig::new(w, h, topo, 4);
@@ -77,13 +76,6 @@ fn all_targets() -> Vec<Row> {
             rows.push(Row { name, analysis });
         }
     }
-    let cfg = NetworkConfig::new(4, 4, Topology::Torus, 4);
-    rows.push(Row {
-        name: "torus-4x4-sharded4".into(),
-        analysis: SimBuilder::new(cfg)
-            .engine(EngineKind::Sharded { threads: 4 })
-            .lint(),
-    });
     // The kernel-level demo systems (§4.1 / §4.2 regimes).
     let (spec, _) = comb_demo();
     rows.push(Row {
@@ -295,7 +287,7 @@ mod tests {
     #[test]
     fn built_in_target_set_lints_clean() {
         let rows = all_targets();
-        assert_eq!(rows.len(), 11);
+        assert_eq!(rows.len(), 10);
         assert!(rows.iter().all(|r| !r.analysis.has_errors()));
     }
 }

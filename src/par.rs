@@ -2,9 +2,9 @@
 //!
 //! The figure-reproducing sweeps run one engine per sweep point; the
 //! points are embarrassingly parallel. This is a dependency-free
-//! `std::thread::scope` map that bounds the worker count by the shared
-//! knob ([`seqsim::pool::worker_count`]): the `SOC_SIM_THREADS`
-//! environment variable when set, the available parallelism otherwise.
+//! `std::thread::scope` map that bounds the worker count by the
+//! `SOC_SIM_THREADS` environment variable when set, the available
+//! parallelism otherwise.
 //!
 //! Work is claimed in *chunks* through a single atomic index — the old
 //! per-item `Mutex<Option<T>>` input and output slots (two lock round
@@ -21,12 +21,39 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// The worker count of every parallel sweep in the workspace.
+///
+/// Resolution order: the `SOC_SIM_THREADS` environment variable (a positive
+/// integer; an unparsable or zero value is ignored with a once-per-process
+/// stderr warning naming it); otherwise the host's
+/// [`std::thread::available_parallelism`]. Always at least 1.
+fn worker_count() -> usize {
+    if let Ok(v) = std::env::var("SOC_SIM_THREADS") {
+        match v.trim().parse::<usize>() {
+            Ok(n) if n > 0 => return n,
+            _ => {
+                // Warn once so a misconfigured deployment (e.g.
+                // SOC_SIM_THREADS=0 or a typo) is visible instead of
+                // silently falling back to all cores.
+                static WARNED: std::sync::Once = std::sync::Once::new();
+                WARNED.call_once(|| {
+                    eprintln!(
+                        "warning: ignoring SOC_SIM_THREADS={v:?}: \
+                         not a positive integer; using available parallelism"
+                    );
+                });
+            }
+        }
+    }
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 /// Apply `f` to every item, in parallel, preserving input order in the
 /// result. A panic in `f` propagates to the caller after all workers
 /// have drained the remaining chunks; the re-raised payload is a
 /// `String` of the form `par_map item <i> panicked: <message>`.
 pub fn par_map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
-    let workers = seqsim::pool::worker_count();
+    let workers = worker_count();
     // ~4 claims per worker: coarse enough that claiming is a rare atomic
     // op, fine enough to balance uneven item costs.
     let chunk = items.len().div_ceil(workers * 4).max(1);
@@ -68,7 +95,7 @@ pub(crate) fn par_map_chunked<T: Send, U: Send>(
             .collect()
     };
 
-    let workers = seqsim::pool::worker_count().min(tasks.len());
+    let workers = worker_count().min(tasks.len());
     let next = AtomicUsize::new(0);
     // First panic from `f` as (item index, message); caught per item so
     // the claiming loop keeps draining — one bad item never strands the

@@ -1,6 +1,6 @@
 //! The central bit-accuracy claim of the paper, enforced across all
 //! engines behind the [`SimBuilder`] factory: the native reference, the
-//! sequential (FPGA-method) simulator, its sharded parallel variant, the
+//! sequential (FPGA-method) simulator, its compiled kernel, the
 //! SystemC-like model and the VHDL-like netlist must produce
 //! bit-identical delivered-flit streams and access-delay logs for
 //! identical seeded traffic — "without compromising the cycle and bit
@@ -27,12 +27,10 @@ fn traffic_for(net: NetworkConfig, load: f64, gt: bool, seed: u64) -> TrafficCon
     }
 }
 
-const KINDS: [(&str, EngineKind); 7] = [
+const KINDS: [(&str, EngineKind); 5] = [
     ("native", EngineKind::Native),
     ("seqsim", EngineKind::Seq),
     ("seqsim-compiled", EngineKind::SeqCompiled),
-    ("seqsim-sharded-p2", EngineKind::Sharded { threads: 2 }),
-    ("seqsim-sharded-p3", EngineKind::Sharded { threads: 3 }),
     ("systemc", EngineKind::CycleSim),
     ("rtl", EngineKind::Rtl),
 ];

@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use noc::diff::{assert_traces_equal, collect_trace};
-use noc::{NativeNoc, SeqNoc};
+use noc::{CompiledNoc, NativeNoc, SeqNoc};
 use noc_types::{NetworkConfig, Topology};
 use traffic::{BeConfig, TrafficConfig};
 use vc_router::IfaceConfig;
@@ -19,7 +19,7 @@ fn depths_checkerboard(cfg: &NetworkConfig, a: usize, b: usize) -> Vec<usize> {
 }
 
 #[test]
-fn hetero_native_and_seqsim_agree() {
+fn hetero_native_seqsim_and_compiled_agree() {
     let net = NetworkConfig::new(4, 3, Topology::Torus, 4);
     let depths = depths_checkerboard(&net, 2, 8);
     let t = TrafficConfig {
@@ -30,10 +30,16 @@ fn hetero_native_and_seqsim_agree() {
     };
     let mut a = NativeNoc::with_depths(net, IfaceConfig::default(), &depths);
     let mut b = SeqNoc::with_depths(net, IfaceConfig::default(), &depths);
+    let mut c = CompiledNoc::with_depths(net, IfaceConfig::default(), &depths);
     let ta = collect_trace(&mut a, &t, 2_000, 256);
     let tb = collect_trace(&mut b, &t, 2_000, 256);
+    let tc = collect_trace(&mut c, &t, 2_000, 256);
     assert!(ta.delivered.iter().any(|d| !d.is_empty()));
     assert_traces_equal("native-hetero", &ta, "seqsim-hetero", &tb);
+    assert_traces_equal("native-hetero", &ta, "compiled-hetero", &tc);
+    for node in 0..net.num_nodes() {
+        assert_eq!(b.peek_regs(node), c.peek_regs(node), "node {node}");
+    }
 }
 
 #[test]
