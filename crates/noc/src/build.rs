@@ -188,6 +188,9 @@ impl SimBuilder {
                 )));
             }
         }
+        self.iface
+            .check()
+            .map_err(|e| SimError::Config(format!("iface: {e}")))?;
         // Most-recent registration wins, including over built-ins.
         if let Some((_, f)) = self.factories.iter().rev().find(|(k, _)| *k == self.kind) {
             return Ok(f(self.cfg, self.iface, self.faults));
@@ -331,24 +334,29 @@ mod tests {
             .err()
             .expect("no factory registered");
         assert!(matches!(err, SimError::Config(_)), "{err:?}");
-        // A fault plan sized for another network, whatever the kind.
+        // A fault plan sized for another network, or ring capacities the
+        // interface cannot address, whatever the kind.
         let plan = Arc::new(FaultPlan::new(cfg().num_nodes() + 1, 7));
+        let rings = IfaceConfig {
+            stim_cap: 48,
+            ..IfaceConfig::default()
+        };
         for kind in [
             EngineKind::Native,
             EngineKind::Seq,
             EngineKind::SeqCompiled,
             EngineKind::CycleSim,
         ] {
-            let err = SimBuilder::new(cfg())
-                .engine(kind)
-                .faults(plan.clone())
-                .try_build()
-                .err()
-                .expect("mis-sized plan refused");
-            assert!(
-                matches!(&err, SimError::Config(m) if m.starts_with("faults: ")),
-                "{kind:?}: {err:?}"
-            );
+            for (what, b) in [
+                ("faults: ", SimBuilder::new(cfg()).faults(plan.clone())),
+                ("iface: ", SimBuilder::new(cfg()).iface(rings)),
+            ] {
+                let err = b.engine(kind).try_build().err().expect("refused");
+                assert!(
+                    matches!(&err, SimError::Config(m) if m.starts_with(what)),
+                    "{kind:?}: {err:?}"
+                );
+            }
         }
     }
 

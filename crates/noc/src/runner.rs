@@ -354,28 +354,13 @@ impl RunReport {
     }
 
     /// Simulated cycles per second of the *simulate phase alone*
-    /// (excluding generate/load/retrieve/analyse) — the kernel-throughput
-    /// number the bench harness reports.
+    /// (excluding generate/load/retrieve/analyse).
     pub fn sim_cycles_per_sec(&self) -> f64 {
         self.profile
             .iter()
             .find(|p| p.0 == "simulate")
             .map(|p| self.cycles as f64 / p.1.as_secs_f64().max(1e-12))
             .unwrap_or(0.0)
-    }
-
-    /// Delta cycles (= block evaluations) per second of the simulate
-    /// phase; sequential engines only.
-    pub fn deltas_per_sec(&self) -> Option<f64> {
-        self.delta
-            .as_ref()
-            .map(|d| d.avg_deltas_per_cycle() * self.sim_cycles_per_sec())
-    }
-
-    /// Block evaluations per second of the simulate phase (one evaluation
-    /// per delta cycle); sequential engines only.
-    pub fn evals_per_sec(&self) -> Option<f64> {
-        self.deltas_per_sec()
     }
 }
 
@@ -811,6 +796,9 @@ pub(crate) fn run_impl(
     gen: &mut StimuliGenerator,
     rc: &RunConfig,
 ) -> Result<RunReport, SimError> {
+    if rc.period == 0 {
+        return Err(SimError::Config("period: must be at least 1 cycle".into()));
+    }
     let disabled = ObsConfig::disabled();
     let instr = rc.obs.as_ref().unwrap_or(&disabled);
     let cfg = engine.config();
@@ -985,7 +973,7 @@ pub(crate) fn run_impl(
         {
             let mut span = instr.tracer.span("phase.simulate", "runner");
             span.arg("cycles", t1 - t0);
-            prof.time_work("simulate", t1 - t0, || -> Result<(), SimError> {
+            prof.time("simulate", || -> Result<(), SimError> {
                 let framing = framer.is_some();
                 let pulse = |c: u64| -> Result<(), SimError> {
                     if let Some(hb) = rc.heartbeat.as_ref() {
@@ -1463,5 +1451,21 @@ mod tests {
         let r = run_fig1_point(&mut e, 0.9, 3, &rc).expect("overloaded run still succeeds");
         assert!(r.saturated, "0.9 load must overload the network");
         assert!(r.cycles < 20_000, "saturation must stop the run early");
+    }
+
+    #[test]
+    fn zero_period_is_a_config_error() {
+        let cfg = NetworkConfig::new(3, 3, Topology::Torus, 2);
+        // An empty period cannot make progress, with a generation window
+        // (the generator is asked for an empty interval) or without one.
+        for (w, m) in [(10, 50), (0, 0)] {
+            let mut e = NativeNoc::new(cfg, IfaceConfig::default());
+            let rc = RunConfig::new().warmup(w).cycles(m).drain(10).period(0);
+            let err = run_fig1_point(&mut e, 0.05, 7, &rc).expect_err("period 0 refused");
+            assert!(
+                matches!(&err, SimError::Config(msg) if msg.starts_with("period: ")),
+                "{err:?}"
+            );
+        }
     }
 }

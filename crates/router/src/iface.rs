@@ -50,15 +50,28 @@ impl Default for IfaceConfig {
 }
 
 impl IfaceConfig {
-    /// Validate capacity constraints.
-    pub fn validate(&self) {
+    /// Check the capacity constraints, naming the first ring that breaks
+    /// one.
+    pub fn check(&self) -> Result<(), String> {
         for (name, c) in [
             ("stim_cap", self.stim_cap),
             ("out_cap", self.out_cap),
             ("acc_cap", self.acc_cap),
         ] {
-            assert!(c.is_power_of_two(), "{name} must be a power of two");
-            assert!(c < 1 << 15, "{name} must stay below 2^15");
+            if !c.is_power_of_two() {
+                return Err(format!("{name} must be a power of two, got {c}"));
+            }
+            if c >= 1 << 15 {
+                return Err(format!("{name} must stay below 2^15, got {c}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Panic unless [`check`](Self::check) passes.
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
     }
 }
@@ -294,6 +307,19 @@ mod tests {
             delay: 77,
         };
         assert_eq!(AccEntry::from_bits(a.to_bits()), a);
+    }
+
+    #[test]
+    fn check_and_validate_agree_on_the_capacity_bounds() {
+        for (stim_cap, ok) in [(1 << 14, true), (1 << 15, false), (48, false)] {
+            let cfg = IfaceConfig {
+                stim_cap,
+                ..IfaceConfig::default()
+            };
+            assert_eq!(cfg.check().is_ok(), ok, "stim_cap {stim_cap}");
+            let validated = std::panic::catch_unwind(|| cfg.validate());
+            assert_eq!(validated.is_ok(), ok, "stim_cap {stim_cap}");
+        }
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Wall-clock phase profiling — the measurement behind the paper's
 //! Table 4 ("Profile information": percentage of time per simulation
-//! step) — plus per-phase *work rates* (units of work per second, e.g.
-//! simulated cycles/s, evaluations/s), so the throughput harness and the
-//! experiments share one measurement path.
+//! step).
 
 use std::time::{Duration, Instant};
 
-/// Accumulates wall-clock time, and optionally work units, per named phase.
+/// Accumulates wall-clock time per named phase.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfiler {
-    phases: Vec<(&'static str, Duration, u64)>,
+    phases: Vec<(&'static str, Duration)>,
 }
 
 impl PhaseProfiler {
@@ -26,28 +24,12 @@ impl PhaseProfiler {
         out
     }
 
-    /// Time a closure under `phase` and credit it with `work` units
-    /// (simulated cycles, block evaluations, delta cycles, …); the units
-    /// feed [`rate`](Self::rate).
-    pub fn time_work<T>(&mut self, phase: &'static str, work: u64, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.add_work(phase, start.elapsed(), work);
-        out
-    }
-
     /// Add a measured duration to `phase`.
     pub fn add(&mut self, phase: &'static str, d: Duration) {
-        self.add_work(phase, d, 0);
-    }
-
-    /// Add a measured duration and `work` units to `phase`.
-    pub fn add_work(&mut self, phase: &'static str, d: Duration, work: u64) {
         if let Some(p) = self.phases.iter_mut().find(|p| p.0 == phase) {
             p.1 += d;
-            p.2 += work;
         } else {
-            self.phases.push((phase, d, work));
+            self.phases.push((phase, d));
         }
     }
 
@@ -61,7 +43,7 @@ impl PhaseProfiler {
         let total = self.total().as_secs_f64().max(1e-12);
         self.phases
             .iter()
-            .map(|&(n, d, _)| (n, d, d.as_secs_f64() / total))
+            .map(|&(n, d)| (n, d, d.as_secs_f64() / total))
             .collect()
     }
 
@@ -73,25 +55,6 @@ impl PhaseProfiler {
             .find(|p| p.0 == phase)
             .map(|p| p.1.as_secs_f64() / total)
             .unwrap_or(0.0)
-    }
-
-    /// Accumulated work units of one phase.
-    pub fn work(&self, phase: &str) -> u64 {
-        self.phases
-            .iter()
-            .find(|p| p.0 == phase)
-            .map(|p| p.2)
-            .unwrap_or(0)
-    }
-
-    /// Work units per second of one phase (its own wall-clock time, not
-    /// the total), or `None` when the phase recorded no work.
-    pub fn rate(&self, phase: &str) -> Option<f64> {
-        self.phases
-            .iter()
-            .find(|p| p.0 == phase)
-            .filter(|p| p.2 > 0)
-            .map(|p| p.2 as f64 / p.1.as_secs_f64().max(1e-12))
     }
 }
 
@@ -111,20 +74,6 @@ mod tests {
         assert_eq!(p.rows().len(), 3);
         assert_eq!(p.rows()[0].0, "generate");
         assert_eq!(p.share("missing"), 0.0);
-    }
-
-    #[test]
-    fn work_rates() {
-        let mut p = PhaseProfiler::new();
-        p.add_work("simulate", Duration::from_millis(500), 1_000);
-        p.add_work("simulate", Duration::from_millis(500), 1_000);
-        assert_eq!(p.work("simulate"), 2_000);
-        let r = p.rate("simulate").unwrap();
-        assert!((r - 2_000.0).abs() < 1.0, "rate {r}");
-        // Phases without work report no rate rather than a bogus zero.
-        p.add("load", Duration::from_millis(10));
-        assert_eq!(p.rate("load"), None);
-        assert_eq!(p.rate("missing"), None);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! `simprof` — summarize, diff and gate kernel profiles.
+//! `simprof` — summarize and diff kernel profiles.
 //!
 //! ```text
 //! simprof summary PROFILE.json [--top N]
 //! simprof diff OLD.json NEW.json [--top N]
 //! simprof flame PROFILE.json [--out FILE]
-//! simprof bench-check BASELINE.json CURRENT.json [--max-drop PCT]
 //! ```
 //!
 //! * `summary` prints a profile's ranked hotspots and per-SCC
@@ -13,16 +12,8 @@
 //!   self-time regressions (`simprof diff old.json new.json`).
 //! * `flame` emits the collapsed-stack flamegraph text (feed it to
 //!   `flamegraph.pl`, `inferno-flamegraph` or speedscope).
-//! * `bench-check` compares two `bench_kernel` outputs row by row and
-//!   exits non-zero when any row's `cycles_per_sec` dropped more than
-//!   `--max-drop` percent (default 25) — the CI regression gate behind
-//!   `scripts/bench.sh`. Rows absent from the baseline are recorded in a
-//!   `BASELINE.seen.json` sidecar; once such a row shows up in two
-//!   consecutive runs it gates against the previous run's rate instead
-//!   of staying ungated until the baseline is re-recorded.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use simtrace::json::JsonValue;
 use simtrace::ProfileReport;
 use std::process::ExitCode;
 
@@ -30,8 +21,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: simprof summary PROFILE.json [--top N]\n       \
          simprof diff OLD.json NEW.json [--top N]\n       \
-         simprof flame PROFILE.json [--out FILE]\n       \
-         simprof bench-check BASELINE.json CURRENT.json [--max-drop PCT]"
+         simprof flame PROFILE.json [--out FILE]"
     );
     ExitCode::from(2)
 }
@@ -168,201 +158,6 @@ fn diff(old: &ProfileReport, new: &ProfileReport, top: usize) {
     );
 }
 
-/// One `bench_kernel` row relevant to the gate.
-struct BenchRow {
-    id: String,
-    cycles_per_sec: f64,
-}
-
-/// A parsed `bench_kernel` output: its rows plus the run-configuration
-/// flag the gate must not silently compare across.
-struct BenchFile {
-    /// `"quick": true/false` from the header (`None` on pre-v3 files
-    /// that never recorded it).
-    quick: Option<bool>,
-    rows: Vec<BenchRow>,
-}
-
-fn load_bench(path: &str) -> Result<BenchFile, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = simtrace::json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let rows = doc
-        .get("rows")
-        .and_then(JsonValue::items)
-        .ok_or_else(|| format!("{path}: no \"rows\" array — not a bench_kernel output?"))?;
-    let mut out = Vec::with_capacity(rows.len());
-    for r in rows {
-        out.push(BenchRow {
-            id: r
-                .get("id")
-                .and_then(JsonValue::str)
-                .ok_or_else(|| format!("{path}: bench row missing id"))?
-                .to_string(),
-            cycles_per_sec: r
-                .get("cycles_per_sec")
-                .and_then(JsonValue::num)
-                .ok_or_else(|| format!("{path}: bench row missing cycles_per_sec"))?,
-        });
-    }
-    Ok(BenchFile {
-        quick: doc.get("quick").and_then(JsonValue::bool),
-        rows: out,
-    })
-}
-
-fn quick_label(q: Option<bool>) -> &'static str {
-    match q {
-        Some(true) => "quick",
-        Some(false) => "full",
-        None => "unknown",
-    }
-}
-
-/// Sidecar next to `baseline` recording the rows the previous
-/// bench-check run saw that the baseline lacks. Same shape as a
-/// `bench_kernel` output, so [`load_bench`] reads it back.
-fn seen_path(baseline: &str) -> String {
-    format!("{baseline}.seen.json")
-}
-
-fn write_seen(path: &str, quick: Option<bool>, rows: &[&BenchRow]) -> std::io::Result<()> {
-    let mut s = String::from("{\n");
-    if let Some(q) = quick {
-        s.push_str(&format!("  \"quick\": {q},\n"));
-    }
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"id\": \"{}\", \"cycles_per_sec\": {:.1}}}{}\n",
-            r.id,
-            r.cycles_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
-/// The percentage change from `base` to `cur` (0 when `base` is 0).
-fn pct_change(base: f64, cur: f64) -> f64 {
-    if base > 0.0 {
-        100.0 * (cur - base) / base
-    } else {
-        0.0
-    }
-}
-
-/// Compare bench rows by id; any drop beyond `max_drop_pct` fails.
-fn bench_check(baseline: &str, current: &str, max_drop_pct: f64) -> Result<bool, String> {
-    let base_file = load_bench(baseline)?;
-    let cur_file = load_bench(current)?;
-    let (base, cur) = (&base_file.rows, &cur_file.rows);
-    let mut ok = true;
-    let mut compared = 0usize;
-    println!(
-        "bench-check: {} vs {} (fail on >{max_drop_pct:.0}% throughput drop)",
-        baseline, current
-    );
-    // Cycle budgets (and therefore measured rates) differ between quick
-    // and full runs: a cross-mode comparison is apples to oranges, and a
-    // quick-mode baseline makes the gate permanently lenient. Warn
-    // loudly rather than silently passing.
-    if base_file.quick != cur_file.quick || base_file.quick.is_none() {
-        println!(
-            "  WARNING comparing a {} baseline against a {} run — cycle \
-             budgets differ, percentages are not meaningful; re-record the \
-             baseline with a matching full bench run",
-            quick_label(base_file.quick),
-            quick_label(cur_file.quick)
-        );
-    } else if base_file.quick == Some(true) {
-        println!(
-            "  WARNING both files are --quick runs: short budgets are noisy; \
-             the committed baseline should be a full run"
-        );
-    }
-    // Rows the baseline lacks would otherwise stay ungated until someone
-    // re-records it. Instead the sidecar remembers them run to run: the
-    // first sighting just records, the second sighting onward gates the
-    // row against its own previous rate.
-    let seen = load_bench(&seen_path(baseline))
-        .ok()
-        .filter(|s| s.quick == cur_file.quick);
-    let mut new_rows: Vec<&BenchRow> = Vec::new();
-    for c in cur {
-        if base.iter().any(|b| b.id == c.id) {
-            continue;
-        }
-        new_rows.push(c);
-        let prev = seen
-            .as_ref()
-            .and_then(|s| s.rows.iter().find(|p| p.id == c.id));
-        match prev {
-            Some(p) => {
-                let change = pct_change(p.cycles_per_sec, c.cycles_per_sec);
-                let failed = change < -max_drop_pct;
-                if failed {
-                    ok = false;
-                }
-                println!(
-                    "  {} {:<40} {:>12.1} -> {:>12.1} cycles/s ({:+.1}%, vs previous run; \
-                     row absent from baseline)",
-                    if failed { "FAIL" } else { "  ok" },
-                    c.id,
-                    p.cycles_per_sec,
-                    c.cycles_per_sec,
-                    change
-                );
-            }
-            None => println!(
-                "  NEW     {:<40} (no baseline counterpart — gated from its next run)",
-                c.id
-            ),
-        }
-    }
-    if let Err(e) = write_seen(&seen_path(baseline), cur_file.quick, &new_rows) {
-        println!("  WARNING could not record the new-row sidecar: {e}");
-    }
-    // In a like-for-like comparison a vanished row is a lost benchmark
-    // and fails the gate; across quick/full modes the smaller sweep
-    // budgets legitimately emit fewer rows, so it only warns.
-    let same_mode = base_file.quick.is_some() && base_file.quick == cur_file.quick;
-    for b in base {
-        let Some(c) = cur.iter().find(|c| c.id == b.id) else {
-            println!(
-                "  MISSING {:<40} (row absent from current run{})",
-                b.id,
-                if same_mode { "" } else { " — not gated" }
-            );
-            if same_mode {
-                ok = false;
-            }
-            continue;
-        };
-        compared += 1;
-        let change = pct_change(b.cycles_per_sec, c.cycles_per_sec);
-        let failed = change < -max_drop_pct;
-        if failed {
-            ok = false;
-        }
-        if failed || change.abs() > max_drop_pct / 2.0 {
-            println!(
-                "  {} {:<40} {:>12.1} -> {:>12.1} cycles/s ({:+.1}%)",
-                if failed { "FAIL" } else { "  ok" },
-                b.id,
-                b.cycles_per_sec,
-                c.cycles_per_sec,
-                change
-            );
-        }
-    }
-    println!(
-        "bench-check: {compared} rows compared, verdict: {}",
-        if ok { "PASS" } else { "FAIL" }
-    );
-    Ok(ok)
-}
-
 fn real_main() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let top: usize = flag(&args, "--top")
@@ -398,20 +193,6 @@ fn real_main() -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        Some("bench-check") => {
-            let (Some(base), Some(cur)) = (args.get(1), args.get(2)) else {
-                return Ok(usage());
-            };
-            let max_drop: f64 = flag(&args, "--max-drop")
-                .map(|v| v.parse().map_err(|_| "--max-drop requires a number"))
-                .transpose()?
-                .unwrap_or(25.0);
-            if bench_check(base, cur, max_drop)? {
-                Ok(ExitCode::SUCCESS)
-            } else {
-                Ok(ExitCode::FAILURE)
-            }
-        }
         _ => Ok(usage()),
     }
 }
@@ -423,81 +204,5 @@ fn main() -> ExitCode {
             eprintln!("simprof: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn bench_json(quick: bool, rows: &[(&str, f64)]) -> String {
-        let body: Vec<String> = rows
-            .iter()
-            .map(|(id, cps)| format!("    {{\"id\": \"{id}\", \"cycles_per_sec\": {cps:.1}}}"))
-            .collect();
-        format!(
-            "{{\n  \"quick\": {quick},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            body.join(",\n")
-        )
-    }
-
-    #[test]
-    fn new_rows_gate_on_their_second_consecutive_sighting() {
-        let dir = std::env::temp_dir().join(format!("socsim-simprof-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        let (base_s, cur_s) = (base.to_str().unwrap(), cur.to_str().unwrap());
-        let _ = std::fs::remove_file(seen_path(base_s));
-        std::fs::write(&base, bench_json(false, &[("old-row", 1000.0)])).unwrap();
-
-        // First sighting of new-row: recorded, not gated.
-        std::fs::write(
-            &cur,
-            bench_json(false, &[("old-row", 1000.0), ("new-row", 800.0)]),
-        )
-        .unwrap();
-        assert!(bench_check(base_s, cur_s, 25.0).unwrap());
-        // Second sighting with a >25% drop vs the previous run: gated.
-        std::fs::write(
-            &cur,
-            bench_json(false, &[("old-row", 1000.0), ("new-row", 300.0)]),
-        )
-        .unwrap();
-        assert!(!bench_check(base_s, cur_s, 25.0).unwrap());
-        // A steady rate passes, and the sidecar tracks the newest value.
-        std::fs::write(
-            &cur,
-            bench_json(false, &[("old-row", 1000.0), ("new-row", 310.0)]),
-        )
-        .unwrap();
-        assert!(bench_check(base_s, cur_s, 25.0).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sidecar_from_a_different_mode_does_not_gate() {
-        let dir = std::env::temp_dir().join(format!("socsim-simprof-mode-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        let (base_s, cur_s) = (base.to_str().unwrap(), cur.to_str().unwrap());
-        let _ = std::fs::remove_file(seen_path(base_s));
-        std::fs::write(&base, bench_json(true, &[("old-row", 1000.0)])).unwrap();
-        std::fs::write(
-            &cur,
-            bench_json(true, &[("old-row", 1000.0), ("new-row", 800.0)]),
-        )
-        .unwrap();
-        assert!(bench_check(base_s, cur_s, 25.0).unwrap());
-        // Same row collapses in a *full* run: the quick-mode sidecar
-        // must not gate it (budgets differ), only re-record it.
-        std::fs::write(
-            &cur,
-            bench_json(false, &[("old-row", 1000.0), ("new-row", 100.0)]),
-        )
-        .unwrap();
-        assert!(bench_check(base_s, cur_s, 25.0).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

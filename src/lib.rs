@@ -12,8 +12,8 @@
 //! * [`vc_router`] — the bit-accurate virtual-channel wormhole router.
 //! * [`rtl_kernel`] / [`cyclesim`] — the VHDL-like and SystemC-like
 //!   baseline simulation kernels.
-//! * [`noc`] — network assembly over all engines and the unified `NocSim`
-//!   API.
+//! * [`noc`] — network assembly over all engines and the unified
+//!   [`noc::NocEngine`] API.
 //! * [`traffic`], [`stats`], [`platform`] — traffic generation, statistics
 //!   and the ARM+FPGA platform model.
 
