@@ -30,12 +30,12 @@ use crate::compiled::CompiledNoc;
 use crate::engine::NocEngine;
 use crate::native::NativeNoc;
 use crate::runner::RunConfig;
-use crate::seq::SeqNoc;
+use crate::seq::{build_noc_spec, SeqNoc};
 use crate::session::Session;
 use noc_types::fault::FaultPlan;
 use noc_types::NetworkConfig;
-use seqsim::{Scheduling, SimError};
-use speccheck::{analyze_graph, Analysis, AnalyzeOptions, Severity, SpecGraph};
+use seqsim::{HybridSchedule, Scheduling, SimError, SystemSpec};
+use speccheck::Severity;
 use std::sync::Arc;
 use vc_router::IfaceConfig;
 
@@ -153,22 +153,13 @@ impl SimBuilder {
         self
     }
 
-    /// Run the static analyzer on the network this builder describes —
-    /// the sequential engine's block/link graph — without building an
-    /// engine.
-    pub fn lint(&self) -> Analysis {
-        let seq = SeqNoc::with_faults(self.cfg, self.iface, self.faults.clone());
-        let g = SpecGraph::from_spec(seq.engine().spec());
-        analyze_graph(&g, &AnalyzeOptions::default())
-    }
-
     /// Build the engine, reporting misconfiguration as
     /// [`SimError::Config`] instead of panicking.
     ///
-    /// For the sequential kinds the `speccheck` analyzer runs on the
-    /// assembled spec first: error-severity diagnostics refuse the
-    /// build, and [`EngineKind::Seq`] adopts the derived hybrid
-    /// schedule.
+    /// For the sequential kinds the `speccheck` analyzer runs exactly
+    /// once, on the assembled spec: error-severity diagnostics refuse
+    /// the build, [`EngineKind::Seq`] adopts the derived hybrid
+    /// schedule, and [`EngineKind::SeqCompiled`] lowers its block order.
     pub fn try_build(self) -> Result<Box<dyn NocEngine>, SimError> {
         let profile = self.profile;
         let mut engine = self.try_build_engine()?;
@@ -195,34 +186,25 @@ impl SimBuilder {
         if let Some((_, f)) = self.factories.iter().rev().find(|(k, _)| *k == self.kind) {
             return Ok(f(self.cfg, self.iface, self.faults));
         }
-        let n = self.cfg.num_nodes();
-        let depths = vec![self.cfg.router.queue_depth; n];
+        let (cfg, iface, faults) = (self.cfg, self.iface, self.faults);
+        let depths = vec![cfg.router.queue_depth; cfg.num_nodes()];
         match self.kind {
             EngineKind::Native => Ok(Box::new(NativeNoc::with_depths_and_faults(
-                self.cfg,
-                self.iface,
-                &depths,
-                self.faults,
+                cfg, iface, &depths, faults,
             ))),
             EngineKind::Seq => {
-                let mut seq = SeqNoc::with_faults(self.cfg, self.iface, self.faults);
-                let analysis = speccheck::analyze_spec(seq.engine().spec());
-                if analysis.has_errors() {
-                    return Err(config_error(&analysis));
-                }
-                if let Some(schedule) = analysis.schedule {
+                let mut seq = SeqNoc::with_faults(cfg, iface, faults);
+                if let Some(schedule) = analyse(seq.engine().spec())? {
                     seq.engine_mut()
                         .set_scheduling(Scheduling::Hybrid(Arc::new(schedule)));
                 }
                 Ok(Box::new(seq))
             }
             EngineKind::SeqCompiled => {
-                let compiled = CompiledNoc::with_faults(self.cfg, self.iface, self.faults);
-                let analysis = speccheck::analyze_spec(compiled.engine().spec());
-                if analysis.has_errors() {
-                    return Err(config_error(&analysis));
-                }
-                Ok(Box::new(compiled))
+                let parts = build_noc_spec(&cfg, iface, &depths, &faults);
+                let order = analyse(&parts.0)?.map(|h| h.order);
+                let noc = CompiledNoc::compile(cfg, iface, &depths, faults, parts, order);
+                Ok(Box::new(noc))
             }
             kind @ (EngineKind::CycleSim | EngineKind::Rtl) => Err(SimError::Config(format!(
                 "engine kind {kind:?} is implemented outside the noc crate; \
@@ -259,18 +241,24 @@ impl SimBuilder {
     }
 }
 
-/// Fold an analysis' error-severity diagnostics into one
-/// [`SimError::Config`].
-fn config_error(a: &Analysis) -> SimError {
+/// Analyse a sequential NoC spec — the one place a build runs
+/// `speccheck`. Error-severity diagnostics fold into one
+/// [`SimError::Config`]; otherwise the derived hybrid schedule is
+/// returned (`None` only for an empty spec).
+pub(crate) fn analyse(spec: &SystemSpec) -> Result<Option<HybridSchedule>, SimError> {
+    let a = speccheck::analyze_spec(spec);
     let errors: Vec<String> = a
         .with_severity(Severity::Error)
         .map(|d| d.to_string())
         .collect();
-    SimError::Config(format!(
+    if errors.is_empty() {
+        return Ok(a.schedule);
+    }
+    Err(SimError::Config(format!(
         "spec analysis found {} error(s):\n{}",
         errors.len(),
         errors.join("\n")
-    ))
+    )))
 }
 
 #[cfg(test)]
@@ -362,11 +350,17 @@ mod tests {
 
     #[test]
     fn lint_is_clean_for_builtin_networks() {
-        let a = SimBuilder::new(cfg()).lint();
+        let c = cfg();
+        let depths = vec![c.router.queue_depth; c.num_nodes()];
+        let (spec, _, _) = build_noc_spec(&c, IfaceConfig::default(), &depths, &None);
+        let a = speccheck::analyze_spec(&spec);
         assert!(!a.has_errors(), "{:#?}", a.diagnostics);
         let schedule = a.schedule.as_ref().expect("schedulable");
-        assert_eq!(schedule.order.len(), cfg().num_nodes());
+        assert_eq!(schedule.order.len(), c.num_nodes());
         assert!(a.convergence_bound <= a.watchdog_budget);
+        // The builder's helper returns the same schedule.
+        let helper = analyse(&spec).expect("no errors").expect("schedulable");
+        assert_eq!(helper.order, schedule.order);
     }
 
     #[test]

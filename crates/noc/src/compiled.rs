@@ -15,11 +15,12 @@
 //! interpreting engine, so the two backends are bit-identical and
 //! differ only in speed.
 
+use crate::build::analyse;
 use crate::engine::{ring_pending, HostPtrs, NocEngine};
 use crate::seq::{attributed_profiler, build_noc_spec};
 use noc_types::fault::FaultPlan;
 use noc_types::{NetworkConfig, NUM_VCS};
-use seqsim::{CompileOptions, CompiledEngine, DeltaStats, SimError};
+use seqsim::{CompileOptions, CompiledEngine, DeltaStats, SimError, SystemSpec};
 use std::sync::Arc;
 use vc_router::block::{RING_ACC, RING_OUT, RING_STIM0};
 use vc_router::{AccEntry, CompiledRouter, IfaceConfig, OutEntry, RouterRegs, StimEntry};
@@ -74,12 +75,25 @@ impl CompiledNoc {
         depths: &[usize],
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
-        let (spec, wr_links, fwd_links) = build_noc_spec(&cfg, iface_cfg, depths, &faults);
-        // Lower the analyzer's hybrid-schedule order when one exists:
-        // the compiled program visits blocks in the same condensation
-        // order the interpreting engine would, so profiles and traces
-        // line up row for row.
-        let order = speccheck::analyze_spec(&spec).schedule.map(|h| h.order);
+        let parts = build_noc_spec(&cfg, iface_cfg, depths, &faults);
+        // Lower the analyzer's hybrid-schedule order when one exists
+        // (none on analysis errors): the compiled program visits blocks
+        // in the same condensation order the interpreting engine would,
+        // so profiles and traces line up row for row.
+        let order = analyse(&parts.0).ok().flatten().map(|h| h.order);
+        Self::compile(cfg, iface_cfg, depths, faults, parts, order)
+    }
+
+    /// Compile the parts [`build_noc_spec`] assembled, visiting blocks
+    /// in `order` (spec order when `None`).
+    pub(crate) fn compile(
+        cfg: NetworkConfig,
+        iface_cfg: IfaceConfig,
+        depths: &[usize],
+        faults: Option<Arc<FaultPlan>>,
+        (spec, wr_links, fwd_links): (SystemSpec, Vec<[usize; NUM_VCS]>, Vec<[usize; 4]>),
+        order: Option<Vec<usize>>,
+    ) -> Self {
         let opts = CompileOptions {
             order,
             ..CompileOptions::default()

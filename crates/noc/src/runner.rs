@@ -672,7 +672,7 @@ fn decode_received(d: &mut Dec<'_>) -> Result<ReceivedPacket, WireError> {
 /// Serialize the host side of a run: analyzer, backlog queues,
 /// pushed-flit count and the optional inject applier and
 /// invariant-checker ledgers.
-fn encode_lane_state(
+fn encode_host_state(
     e: &mut Enc,
     an: &DeliveryAnalyzer,
     backlog: &[[VecDeque<StimEntry>; NUM_VCS]],
@@ -701,12 +701,12 @@ fn encode_lane_state(
     }
 }
 
-/// Mirror of [`encode_lane_state`]: restore onto freshly-built host
+/// Mirror of [`encode_host_state`]: restore onto freshly-built host
 /// state for the same configuration. A mismatch between the
 /// checkpoint's optional sections and the run's (fault plan present vs
 /// absent, checker on vs off) is an error in both directions — it means
 /// the checkpoint belongs to a differently-configured campaign.
-fn decode_lane_state(
+fn decode_host_state(
     d: &mut Dec<'_>,
     an: &mut DeliveryAnalyzer,
     backlog: &mut [[VecDeque<StimEntry>; NUM_VCS]],
@@ -867,7 +867,7 @@ pub(crate) fn run_impl(
             let bad = |e: WireError| SimError::Config(format!("campaign checkpoint: {e}"));
             engine.load_state(&saved.engine_state)?;
             let mut d = Dec::new(&saved.host_state);
-            decode_lane_state(
+            decode_host_state(
                 &mut d,
                 &mut an,
                 &mut backlog,
@@ -1105,7 +1105,7 @@ pub(crate) fn run_impl(
                 match engine.save_state() {
                     Some(engine_state) => {
                         let mut e = Enc::new();
-                        encode_lane_state(
+                        encode_host_state(
                             &mut e,
                             &an,
                             &backlog,

@@ -63,8 +63,6 @@ pub struct Analysis {
     /// removed (see [`normalize_diagnostics`]) so reports are stable
     /// across analyzer-internal ordering changes.
     pub diagnostics: Vec<Diagnostic>,
-    /// The bit-level dataflow result (values, liveness, slice plan).
-    pub bitflow: crate::bitflow::Bitflow,
     /// The SCCs of the full block graph in schedule (topological)
     /// order.
     pub sccs: Vec<SccInfo>,
@@ -135,7 +133,6 @@ impl Analysis {
             ));
         }
         s.push_str(&format!("\"watchdog_budget\":{},", self.watchdog_budget));
-        s.push_str(&format!("\"bitflow\":{},", self.bitflow.to_json()));
         s.push_str(&format!(
             "\"max_severity\":{},",
             self.max_severity()
@@ -159,7 +156,7 @@ pub fn analyze_spec(spec: &SystemSpec) -> Analysis {
     analyze_graph(&SpecGraph::from_spec(spec), &AnalyzeOptions::default())
 }
 
-/// Run every lint and derive the hybrid schedule for `g`.
+/// Run the structural lints and derive the hybrid schedule for `g`.
 pub fn analyze_graph(g: &SpecGraph, opts: &AnalyzeOptions) -> Analysis {
     let n = g.blocks.len();
     let nl = g.links.len();
@@ -493,8 +490,6 @@ pub fn analyze_graph(g: &SpecGraph, opts: &AnalyzeOptions) -> Analysis {
         Some(h)
     };
 
-    let bitflow = crate::bitflow::bitflow_graph(g);
-    ds.extend(bitflow.diagnostics.iter().cloned());
     normalize_diagnostics(&mut ds);
 
     Analysis {
@@ -503,7 +498,6 @@ pub fn analyze_graph(g: &SpecGraph, opts: &AnalyzeOptions) -> Analysis {
         comb_edges,
         registered_edges,
         diagnostics: ds,
-        bitflow,
         sccs,
         schedule,
         convergence_bound: bound_total,

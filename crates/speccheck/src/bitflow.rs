@@ -44,7 +44,9 @@
 //! semantics are plain bitwise expressions. Slicing is unconditionally
 //! semantics-preserving in `seqsim::compile` — the plan is *policy*
 //! (slice only where a bitwise lowering could profit), not *legality*.
-//! No engine consumes the plan today; it is analyzer output.
+//! No engine consumes the plan today; it is analyzer output. The pass is
+//! lint-only: `speclint` runs it next to [`crate::analyze_graph`], while
+//! engine builds never do, since every finding it emits is info-severity.
 
 use crate::graph::{LinkClass, SpecGraph};
 use noc_types::diag::{codes, Diagnostic, Severity, Site};
@@ -136,8 +138,8 @@ pub struct Bitflow {
 }
 
 impl Bitflow {
-    /// The machine-readable summary embedded in the speclint report
-    /// (and emitted standalone by `speclint --emit-bitflow`).
+    /// The machine-readable summary `speclint --emit-bitflow` writes
+    /// per target.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"const_bits\":{},\"dead_bits\":{},\"narrowable\":[{}],\"sliceable_links\":[{}]}}",

@@ -18,9 +18,10 @@ echo "==> cargo test -q (root package and every crate: unit, integration and doc
 cargo test -q
 
 echo "==> speclint (zero error-severity diagnostics on built-in topologies)"
-./target/release/speclint --all-topologies --format json --out target/speclint_report.json \
+./target/release/speclint --format json --out target/speclint_report.json \
     --emit-program target/compiled_program.txt \
     --emit-bitflow target/bitflow_report.json
+! ./target/release/speclint --no-such-flag 2>/dev/null
 
 echo "==> chaos smoke (injected panic + hang + corrupt checkpoint)"
 cargo run --release --bin chaos -- --dir target/chaos 2> /dev/null | tee target/chaos_report.txt

@@ -26,6 +26,7 @@
 //! into DIR; with `--resume`, that run restarts from the newest valid
 //! checkpoint there instead of cycle 0 — kill the process mid-run and
 //! re-invoke with `--resume` to watch it pick up bit-identically.
+//! Any other argument is refused with a non-zero exit.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use noc::diff::{assert_traces_equal, collect_trace};
@@ -47,6 +48,37 @@ fn flag_path(args: &[String], flag: &str) -> Result<Option<PathBuf>, SimError> {
             None => Err(SimError::Config(format!("{flag} requires a file argument"))),
         },
     }
+}
+
+/// The flags `experiments` accepts without a value.
+const SWITCHES: [&str; 3] = ["--quick", "--check", "--resume"];
+
+/// The flags `experiments` accepts with one value each.
+const VALUE_FLAGS: [&str; 6] = [
+    "--trace",
+    "--metrics",
+    "--faults",
+    "--profile",
+    "--checkpoint-dir",
+    "--checkpoint-every",
+];
+
+/// Refuse any argument that is neither a known flag nor a known flag's
+/// value, and a value flag without its value.
+fn check_args(args: &[String]) -> Result<(), SimError> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if SWITCHES.contains(&a.as_str()) {
+            continue;
+        }
+        if !VALUE_FLAGS.contains(&a.as_str()) {
+            return Err(SimError::Config(format!("unknown argument {a}")));
+        }
+        if it.next().is_none() {
+            return Err(SimError::Config(format!("{a} requires an argument")));
+        }
+    }
+    Ok(())
 }
 
 /// Value of `--flag N` in the argument list, if present.
@@ -227,7 +259,8 @@ fn fault_differential(seed: u64) -> Result<(), SimError> {
 }
 
 fn real_main() -> Result<(), SimError> {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args)?;
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
     let trace_path = flag_path(&args, "--trace")?;
@@ -459,5 +492,28 @@ fn main() {
     if let Err(e) = real_main() {
         eprintln!("experiments failed: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_and_incomplete_arguments_are_refused() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(check_args(&args(&["--quick", "--check", "--faults", "2007"])).is_ok());
+        for (bad, named) in [
+            (&["--quick", "--chek"][..], "--chek"),
+            (&["--all-topologies"], "--all-topologies"),
+            (&["--quick", "extra"], "extra"),
+            (&["--quick", "--profile"], "--profile"),
+        ] {
+            let err = check_args(&args(bad)).expect_err("refused");
+            assert!(
+                matches!(&err, SimError::Config(m) if m.contains(named)),
+                "{bad:?}: {err}"
+            );
+        }
     }
 }

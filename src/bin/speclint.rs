@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --bin speclint -- \
-//!     [--all-topologies] [--format text|json] [--out FILE] \
+//!     [--format text|json] [--out FILE] \
 //!     [--emit-program FILE] [--emit-bitflow FILE]
 //! ```
 //!
@@ -19,26 +19,52 @@
 //!
 //! Each target is analyzed before any cycle is simulated: the block/link
 //! graph is extracted, SCC-condensed, and linted (multiple writers, dead
-//! links, width overflow, combinational loops, convergence budget).
+//! links, width overflow, combinational loops, convergence budget), and
+//! the bit-level dataflow pass runs over the same graph; its info-severity
+//! findings join the target's diagnostics. Any other argument is refused.
 //! The exit status is non-zero iff any target produces an
 //! error-severity diagnostic — CI runs this as a hard gate.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use noc::{SimBuilder, SimError};
+use noc::{SeqNoc, SimError};
 use noc_types::{NetworkConfig, Topology};
 use rtl_kernel::RtlNoc;
 use seqsim::demo::{comb_demo, registered_demo};
 use seqsim::systolic::SystolicArray;
-use speccheck::{analyze_graph, analyze_spec, Analysis, AnalyzeOptions, Severity};
+use speccheck::{
+    analyze_graph, bitflow_graph, normalize_diagnostics, Analysis, AnalyzeOptions, Bitflow,
+    Severity, SpecGraph,
+};
 use std::io::Write as _;
 use std::path::PathBuf;
 use vc_router::IfaceConfig;
 
-/// One analyzed target: a built-in topology plus its analysis report.
+/// One analyzed target: a built-in topology, its analysis report (with
+/// the bit-level findings merged into its diagnostics) and its bitflow
+/// result.
 struct Row {
     name: String,
     analysis: Analysis,
+    bitflow: Bitflow,
+}
+
+/// The flags `speclint` accepts; each takes one value.
+const FLAGS: [&str; 4] = ["--format", "--out", "--emit-program", "--emit-bitflow"];
+
+/// Refuse any argument that is neither a known flag nor a known flag's
+/// value, and a known flag without its value.
+fn check_args(args: &[String]) -> Result<(), SimError> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !FLAGS.contains(&a.as_str()) {
+            return Err(SimError::Config(format!("unknown argument {a}")));
+        }
+        if it.next().is_none() {
+            return Err(SimError::Config(format!("{a} requires an argument")));
+        }
+    }
+    Ok(())
 }
 
 /// Value of `--flag FILE` in the argument list, if present.
@@ -63,45 +89,59 @@ fn flag_word(args: &[String], flag: &str) -> Result<Option<String>, SimError> {
     }
 }
 
-/// Lint the built-in target set.
-fn all_targets() -> Vec<Row> {
-    let mut rows = Vec::new();
+/// Sizes of the NoC targets; each is linted as a torus and as a mesh.
+const NOC_SIZES: [(u8, u8); 3] = [(3, 3), (4, 4), (6, 6)];
+
+/// The built-in target set as spec graphs.
+fn targets() -> Vec<(String, SpecGraph)> {
+    let mut targets = Vec::new();
     // NoC networks on the sequential engine, both topologies, several
     // sizes.
-    for (w, h) in [(3u8, 3u8), (4, 4), (6, 6)] {
+    for (w, h) in NOC_SIZES {
         for topo in [Topology::Torus, Topology::Mesh] {
             let cfg = NetworkConfig::new(w, h, topo, 4);
-            let name = format!("{}-{w}x{h}", topo_id(topo));
-            let analysis = SimBuilder::new(cfg).lint();
-            rows.push(Row { name, analysis });
+            let seq = SeqNoc::new(cfg, IfaceConfig::default());
+            targets.push((
+                format!("{}-{w}x{h}", topo_id(topo)),
+                SpecGraph::from_spec(seq.engine().spec()),
+            ));
         }
     }
     // The kernel-level demo systems (§4.1 / §4.2 regimes).
     let (spec, _) = comb_demo();
-    rows.push(Row {
-        name: "comb-demo".into(),
-        analysis: analyze_spec(&spec),
-    });
+    targets.push(("comb-demo".into(), SpecGraph::from_spec(&spec)));
     let (spec, _) = registered_demo([1, 2, 3]);
-    rows.push(Row {
-        name: "registered-demo".into(),
-        analysis: analyze_spec(&spec),
-    });
+    targets.push(("registered-demo".into(), SpecGraph::from_spec(&spec)));
     // The output-stationary systolic multiplier on the static engine.
     let array = SystolicArray::new(4);
-    rows.push(Row {
-        name: "systolic-4x4".into(),
-        analysis: analyze_spec(array.spec()),
-    });
+    targets.push(("systolic-4x4".into(), SpecGraph::from_spec(array.spec())));
     // The event-driven netlist backend: same analyzer, different front
     // end (signals are links, processes are blocks).
     let cfg = NetworkConfig::new(3, 3, Topology::Torus, 4);
     let e = RtlNoc::new(cfg, IfaceConfig::default());
-    rows.push(Row {
-        name: "rtl-torus-3x3".into(),
-        analysis: analyze_graph(&e.spec_graph(), &AnalyzeOptions::default()),
-    });
-    rows
+    targets.push(("rtl-torus-3x3".into(), e.spec_graph()));
+    targets
+}
+
+/// Lint the built-in target set: the structural analysis and the
+/// bit-level pass, once each per target.
+fn all_targets() -> Vec<Row> {
+    targets()
+        .into_iter()
+        .map(|(name, g)| {
+            let mut analysis = analyze_graph(&g, &AnalyzeOptions::default());
+            let bitflow = bitflow_graph(&g);
+            analysis
+                .diagnostics
+                .extend(bitflow.diagnostics.iter().cloned());
+            normalize_diagnostics(&mut analysis.diagnostics);
+            Row {
+                name,
+                analysis,
+                bitflow,
+            }
+        })
+        .collect()
 }
 
 fn topo_id(t: Topology) -> &'static str {
@@ -178,9 +218,7 @@ fn render_text(rows: &[Row]) -> String {
 
 fn run() -> Result<i32, SimError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `--all-topologies` is the default (and only) target set; the flag
-    // is accepted for explicitness in CI invocations.
-    let _ = args.iter().any(|a| a == "--all-topologies");
+    check_args(&args)?;
     let format = flag_word(&args, "--format")?.unwrap_or_else(|| "text".into());
     if format != "text" && format != "json" {
         return Err(SimError::Config(format!(
@@ -216,7 +254,7 @@ fn run() -> Result<i32, SimError> {
             s.push_str(&format!(
                 "  {{\"name\": \"{}\", \"bitflow\": {}}}{}\n",
                 r.name,
-                r.analysis.bitflow.to_json(),
+                r.bitflow.to_json(),
                 if i + 1 < rows.len() { "," } else { "" }
             ));
         }
@@ -289,5 +327,34 @@ mod tests {
         let rows = all_targets();
         assert_eq!(rows.len(), 10);
         assert!(rows.iter().all(|r| !r.analysis.has_errors()));
+        // The six NoC rows come first: each schedules every router, within
+        // the divergence watchdog's budget.
+        let nodes = NOC_SIZES
+            .iter()
+            .flat_map(|&(w, h)| [usize::from(w) * usize::from(h); 2]);
+        for (r, nodes) in rows.iter().zip(nodes) {
+            let a = &r.analysis;
+            let schedule = a.schedule.as_ref().expect("schedulable");
+            assert_eq!(schedule.order.len(), nodes, "{}", r.name);
+            assert!(a.convergence_bound <= a.watchdog_budget, "{}", r.name);
+        }
+    }
+
+    #[test]
+    fn unknown_and_incomplete_arguments_are_refused() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(check_args(&args(&["--format", "json", "--out", "r.json"])).is_ok());
+        for (bad, named) in [
+            (&["--fromat", "json"][..], "--fromat"),
+            (&["--all-topologies"], "--all-topologies"),
+            (&["--format", "json", "extra"], "extra"),
+            (&["--out"], "--out"),
+        ] {
+            let err = check_args(&args(bad)).expect_err("refused");
+            assert!(
+                matches!(&err, SimError::Config(m) if m.contains(named)),
+                "{bad:?}: {err}"
+            );
+        }
     }
 }
