@@ -182,11 +182,10 @@ pub struct BitSemantics {
 /// write slots addressed by pointers held in `cur`, and advance pointers
 /// only through `next`.
 ///
-/// Kinds must be [`Send`]: `Session`s move across `par_map` workers and
-/// onto the supervisor's campaign thread, taking their `SystemSpec`
-/// along. (They need not be `Sync` — an engine is only ever evaluated
-/// by one thread at a time, so interior mutability like a per-kind
-/// decode cache stays safe.)
+/// Kinds must be [`Send`]: `Session`s move across `par_map` workers,
+/// taking their `SystemSpec` along. (They need not be `Sync` — an
+/// engine is only ever evaluated by one thread at a time, so interior
+/// mutability like a per-kind decode cache stays safe.)
 pub trait BlockKind: Send {
     /// Human-readable kind name (diagnostics, traces).
     fn name(&self) -> &str;

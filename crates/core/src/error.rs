@@ -1,10 +1,10 @@
 //! The structured error taxonomy of the simulation engines.
 //!
 //! The hot failure paths of the workspace — a non-converging §4.2 fixed
-//! point, a crashed campaign worker, a violated network invariant — used to
+//! point, a violated network invariant, a bad configuration — used to
 //! panic (or worse, spin). They now surface as typed [`SimError`]s so a
-//! host program can report, checkpoint or retry instead of aborting, and
-//! so the differential suites can assert that *failures* are as
+//! host program can report them instead of aborting, and so the
+//! differential suites can assert that *failures* are as
 //! deterministic and engine-independent as successes.
 
 use crate::trace::TraceEvent;
@@ -40,24 +40,6 @@ pub enum SimError {
     },
     /// The run was mis-configured (bad flag value, impossible request).
     Config(String),
-    /// The supervisor's watchdog saw no per-cycle progress within its
-    /// stall timeout: the campaign hung (a livelock, a wedged worker)
-    /// and was cancelled.
-    Stalled {
-        /// Last system cycle the heartbeat reported before progress
-        /// stopped.
-        last_cycle: u64,
-        /// The stall timeout that expired, in milliseconds.
-        timeout_ms: u64,
-    },
-    /// A supervised campaign attempt crashed (panicked) and was caught
-    /// by the supervisor.
-    Crashed {
-        /// 1-based attempt number that crashed.
-        attempt: u32,
-        /// The panic payload.
-        payload: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -84,16 +66,6 @@ impl fmt::Display for SimError {
                 "invariant `{invariant}` violated at cycle {cycle}: {details}"
             ),
             SimError::Config(msg) => write!(f, "configuration error: {msg}"),
-            SimError::Stalled {
-                last_cycle,
-                timeout_ms,
-            } => write!(
-                f,
-                "campaign stalled: no progress past cycle {last_cycle} within {timeout_ms} ms"
-            ),
-            SimError::Crashed { attempt, payload } => {
-                write!(f, "campaign attempt {attempt} crashed: {payload}")
-            }
         }
     }
 }
@@ -125,17 +97,5 @@ mod tests {
         };
         assert!(e.to_string().contains("`conservation`"));
         assert!(SimError::Config("bad".into()).to_string().contains("bad"));
-
-        let e = SimError::Stalled {
-            last_cycle: 4096,
-            timeout_ms: 2000,
-        };
-        assert!(e.to_string().contains("4096") && e.to_string().contains("2000 ms"));
-
-        let e = SimError::Crashed {
-            attempt: 1,
-            payload: "boom".into(),
-        };
-        assert!(e.to_string().contains("attempt 1") && e.to_string().contains("boom"));
     }
 }

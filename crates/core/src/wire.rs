@@ -17,7 +17,7 @@
 //! and checksum before handing the payload back — a truncated file fails
 //! the length check, a bit flip anywhere in the payload fails the CRC, a
 //! bit flip in the header fails magic/version/length. Every check is a
-//! typed [`WireError`], never a panic, so a supervisor can skip corrupt
+//! typed [`WireError`], never a panic, so a resuming run can skip corrupt
 //! checkpoints and fall back to an older one.
 
 use std::fmt;

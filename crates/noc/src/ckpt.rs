@@ -1,5 +1,5 @@
 //! Durable campaign checkpoints: crash-consistent files the five-phase
-//! runner cuts at period boundaries and the supervisor resumes from.
+//! runner cuts at period boundaries and a `--resume` run restarts from.
 //!
 //! A checkpoint is one self-contained binary file in the sealed
 //! [`seqsim::wire`] container (magic, version, length, CRC32): a

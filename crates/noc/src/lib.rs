@@ -70,7 +70,6 @@ pub mod obs;
 pub mod runner;
 pub mod seq;
 pub mod session;
-pub mod supervise;
 pub mod wiring;
 
 pub use build::{EngineKind, SimBuilder};
@@ -82,9 +81,8 @@ pub use engine::NocEngine;
 pub use fault::{random_plan, FaultPlan, InjectApplier};
 pub use native::NativeNoc;
 pub use obs::{NocObserver, ObsConfig};
-pub use runner::{fig1_guarantee, run_fig1_point, ChaosConfig, Heartbeat, RunConfig, RunReport};
+pub use runner::{fig1_guarantee, run_fig1_point, RunConfig, RunReport};
 pub use seq::SeqNoc;
 pub use seqsim::SimError;
 pub use session::Session;
-pub use supervise::{SuperviseReport, Supervisor};
 pub use wiring::Wiring;

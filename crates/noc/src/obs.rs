@@ -12,8 +12,7 @@
 
 use crate::engine::NocEngine;
 use noc_types::NUM_VCS;
-use simtrace::{lbl, Counter, Frame, FrameSink, Gauge, Registry, Tracer};
-use std::sync::{Arc, Mutex};
+use simtrace::{lbl, Counter, Gauge, Registry, Tracer};
 
 /// Observability configuration for a five-phase run, carried on
 /// [`RunConfig::obs`](crate::runner::RunConfig::obs).
@@ -35,14 +34,6 @@ pub struct ObsConfig {
     /// Cycle interval between occupancy/link samples during the simulate
     /// phase (0 disables sampling).
     pub sample_every: u64,
-    /// Cycle interval between telemetry frames during the simulate phase
-    /// (0 disables frame emission). At every boundary the runner cuts a
-    /// [`Frame`] — counter/histogram deltas since the previous frame plus
-    /// current gauges — and feeds it to every attached sink.
-    pub frame_every: u64,
-    /// Frame sinks, shared across clones so several runs stream into one
-    /// JSONL file or Prometheus exposition file.
-    sinks: Arc<Mutex<Vec<Box<dyn FrameSink>>>>,
     enabled: bool,
 }
 
@@ -53,8 +44,6 @@ impl ObsConfig {
             registry: Registry::new(),
             tracer: Tracer::disabled(),
             sample_every: 0,
-            frame_every: 0,
-            sinks: Arc::new(Mutex::new(Vec::new())),
             enabled: false,
         }
     }
@@ -72,72 +61,13 @@ impl ObsConfig {
             registry,
             tracer,
             sample_every,
-            frame_every: 0,
-            sinks: Arc::new(Mutex::new(Vec::new())),
             enabled: true,
         }
-    }
-
-    /// Builder-style: emit a telemetry frame every `frame_every` system
-    /// cycles into `sink` (call repeatedly to fan out to several sinks;
-    /// the last cadence wins).
-    pub fn with_frames(self, frame_every: u64, sink: impl FrameSink + 'static) -> Self {
-        let mut cfg = self;
-        cfg.frame_every = frame_every;
-        cfg.add_frame_sink(sink);
-        cfg
-    }
-
-    /// Attach one more frame sink (shared with every clone).
-    pub fn add_frame_sink(&self, sink: impl FrameSink + 'static) {
-        self.sinks
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(Box::new(sink));
     }
 
     /// Does this bundle observe anything at all?
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Will the runner cut frames for this bundle?
-    pub fn frames_active(&self) -> bool {
-        self.enabled
-            && self.frame_every > 0
-            && !self
-                .sinks
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .is_empty()
-    }
-
-    /// Feed one frame to every sink. Sink I/O failures never abort a
-    /// simulation; they are counted on the `obs.frame_sink_errors`
-    /// counter instead.
-    pub(crate) fn emit_frame(&self, frame: &Frame) {
-        let mut sinks = self
-            .sinks
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for sink in sinks.iter_mut() {
-            if sink.emit(frame).is_err() {
-                self.registry.counter("obs.frame_sink_errors", &[]).inc();
-            }
-        }
-    }
-
-    /// Flush every sink (end of a run).
-    pub(crate) fn finish_frames(&self) {
-        let mut sinks = self
-            .sinks
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for sink in sinks.iter_mut() {
-            if sink.finish().is_err() {
-                self.registry.counter("obs.frame_sink_errors", &[]).inc();
-            }
-        }
     }
 }
 
@@ -151,7 +81,6 @@ impl std::fmt::Debug for ObsConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsConfig")
             .field("sample_every", &self.sample_every)
-            .field("frame_every", &self.frame_every)
             .field("enabled", &self.enabled)
             .finish_non_exhaustive()
     }

@@ -25,129 +25,9 @@ use seqsim::{Dec, Enc, WireError};
 use simtrace::lbl;
 use stats::{LatencyStats, LatencySummary, PhaseProfiler, ThroughputCounter};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use traffic::{OfferedPacket, StimuliGenerator};
 use vc_router::{AccEntry, OutEntry, StimEntry};
-
-/// When a heartbeat or chaos hook is attached, the simulate phase
-/// advances the engine in chunks of at most this many cycles so the
-/// pulse stays fresh without paying per-cycle dispatch.
-const PULSE_CHUNK: u64 = 64;
-
-/// A progress pulse shared between a running campaign and its watchdog.
-///
-/// The runner beats it after every simulate-phase advance (it ticks only
-/// during phase 3 — the other phases are host-side and fast); the
-/// supervisor polls [`ticks`](Self::ticks) and declares the run stalled
-/// when no progress arrives within its timeout. [`cancel`](Self::cancel)
-/// asks the runner to stop at the next pulse. Clones share one state.
-#[derive(Debug, Clone, Default)]
-pub struct Heartbeat {
-    inner: Arc<HeartbeatInner>,
-}
-
-#[derive(Debug, Default)]
-struct HeartbeatInner {
-    cycle: AtomicU64,
-    ticks: AtomicU64,
-    cancel: AtomicBool,
-}
-
-impl Heartbeat {
-    /// A fresh heartbeat: zero ticks, not cancelled.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record progress up to system cycle `cycle`.
-    pub fn beat(&self, cycle: u64) {
-        self.inner.cycle.store(cycle, Ordering::Relaxed);
-        self.inner.ticks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total beats so far (monotone; the watchdog's progress signal).
-    pub fn ticks(&self) -> u64 {
-        self.inner.ticks.load(Ordering::Relaxed)
-    }
-
-    /// The last system cycle reported by [`beat`](Self::beat).
-    pub fn last_cycle(&self) -> u64 {
-        self.inner.cycle.load(Ordering::Relaxed)
-    }
-
-    /// Ask the runner to stop at its next pulse.
-    pub fn cancel(&self) {
-        self.inner.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Has [`cancel`](Self::cancel) been called?
-    pub fn cancelled(&self) -> bool {
-        self.inner.cancel.load(Ordering::Relaxed)
-    }
-}
-
-/// Deterministic fault injection into the *runner itself* (not the
-/// simulated network): an injected panic and/or an injected hang at a
-/// chosen system cycle, for exercising the supervisor's recovery paths.
-///
-/// Each trigger fires at most once per [`ChaosConfig`] *instance
-/// lineage*: clones share the fired flags, so a supervisor retry that
-/// re-clones the config does not re-panic — exactly the semantics a real
-/// transient fault has.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosConfig {
-    /// Panic (once) at the first pulse at or after this cycle.
-    pub panic_at: Option<u64>,
-    /// Sleep (once) for [`hang_ms`](Self::hang_ms) at the first pulse at
-    /// or after this cycle.
-    pub hang_at: Option<u64>,
-    /// How long the injected hang sleeps, in milliseconds.
-    pub hang_ms: u64,
-    /// (panic fired, hang fired) — shared across clones.
-    fired: Arc<(AtomicBool, AtomicBool)>,
-}
-
-impl ChaosConfig {
-    /// No chaos armed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Arm a one-shot panic at `cycle`.
-    pub fn panic_at(mut self, cycle: u64) -> Self {
-        self.panic_at = Some(cycle);
-        self
-    }
-
-    /// Arm a one-shot `ms`-millisecond hang at `cycle`.
-    pub fn hang_at(mut self, cycle: u64, ms: u64) -> Self {
-        self.hang_at = Some(cycle);
-        self.hang_ms = ms;
-        self
-    }
-
-    /// Fire any armed trigger whose cycle has been reached. Called by the
-    /// runner at every simulate-phase pulse.
-    ///
-    /// # Panics
-    ///
-    /// Panics (once) when the armed panic trigger fires — that is its
-    /// entire purpose; the supervisor catches it.
-    pub fn fire(&self, cycle: u64) {
-        if let Some(at) = self.hang_at {
-            if cycle >= at && !self.fired.1.swap(true, Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(self.hang_ms));
-            }
-        }
-        if let Some(at) = self.panic_at {
-            if cycle >= at && !self.fired.0.swap(true, Ordering::Relaxed) {
-                panic!("chaos: injected panic at cycle {cycle}");
-            }
-        }
-    }
-}
 
 /// Runner parameters.
 #[derive(Debug, Clone)]
@@ -177,11 +57,6 @@ pub struct RunConfig {
     /// analyse phase, and (when [`CheckpointConfig::resume`] is set)
     /// resumes from the newest valid one instead of starting at cycle 0.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Progress pulse for an external watchdog; beaten after every
-    /// simulate-phase advance. Attached by the supervisor.
-    pub heartbeat: Option<Heartbeat>,
-    /// Runner-level fault injection (panic/hang) for chaos testing.
-    pub chaos: Option<ChaosConfig>,
 }
 
 impl Default for RunConfig {
@@ -195,8 +70,6 @@ impl Default for RunConfig {
             obs: None,
             check: false,
             checkpoint: None,
-            heartbeat: None,
-            chaos: None,
         }
     }
 }
@@ -283,18 +156,6 @@ impl RunConfig {
         if let Some(c) = self.checkpoint.as_mut() {
             c.resume = on;
         }
-        self
-    }
-
-    /// Attach a watchdog heartbeat.
-    pub fn heartbeat(mut self, hb: Heartbeat) -> Self {
-        self.heartbeat = Some(hb);
-        self
-    }
-
-    /// Arm runner-level chaos injection.
-    pub fn chaos(mut self, ch: ChaosConfig) -> Self {
-        self.chaos = Some(ch);
         self
     }
 }
@@ -812,9 +673,6 @@ pub(crate) fn run_impl(
     } else {
         None
     };
-    let mut framer = instr
-        .frames_active()
-        .then(|| simtrace::FrameStreamer::new(instr.registry.clone()));
 
     let faulty = engine.fault_plan().is_some();
     let fault_drops =
@@ -974,20 +832,7 @@ pub(crate) fn run_impl(
             let mut span = instr.tracer.span("phase.simulate", "runner");
             span.arg("cycles", t1 - t0);
             prof.time("simulate", || -> Result<(), SimError> {
-                let framing = framer.is_some();
-                let pulse = |c: u64| -> Result<(), SimError> {
-                    if let Some(hb) = rc.heartbeat.as_ref() {
-                        hb.beat(c);
-                        if hb.cancelled() {
-                            return Err(SimError::Config("run cancelled by supervisor".into()));
-                        }
-                    }
-                    if let Some(ch) = rc.chaos.as_ref() {
-                        ch.fire(c);
-                    }
-                    Ok(())
-                };
-                let pulsing = rc.heartbeat.is_some() || rc.chaos.is_some();
+                let every = instr.sample_every;
                 match checker.as_mut() {
                     // Checked runs step one cycle at a time so structural
                     // bounds are audited at every clock edge.
@@ -997,66 +842,29 @@ pub(crate) fn run_impl(
                             engine.try_step()?;
                             c += 1;
                             ck.check_bounds(engine)?;
-                            if pulsing {
-                                pulse(c)?;
-                            }
                             if let Some(obs) = observer.as_ref() {
-                                if instr.sample_every > 0
-                                    && (c - t0).is_multiple_of(instr.sample_every)
-                                {
+                                if every > 0 && (c - t0).is_multiple_of(every) {
                                     obs.sample(engine);
-                                }
-                            }
-                            if framing && c.is_multiple_of(instr.frame_every) {
-                                if let Some(fr) = framer.as_mut() {
-                                    instr.emit_frame(&fr.cut(c));
                                 }
                             }
                         }
                     }
+                    // Unchecked runs advance the whole period in one call;
+                    // a sampling observer splits it at every period-relative
+                    // sample boundary and samples after each advance, so
+                    // also at the period's end.
                     None => {
-                        let sampling = observer.is_some() && instr.sample_every > 0;
-                        if !sampling && !framing && !pulsing {
-                            engine.try_run(t1 - t0)?;
-                        } else {
-                            // Step to the next sample or frame boundary,
-                            // whichever comes first. Sample boundaries are
-                            // period-relative (as before); frame boundaries
-                            // are absolute system cycles, so frames line up
-                            // across periods. A heartbeat/chaos pulse caps
-                            // the stride so the watchdog signal stays
-                            // fresh.
-                            let mut c = t0;
-                            while c < t1 {
-                                let mut next = t1;
-                                if sampling {
-                                    next = next.min(
-                                        c + instr.sample_every - (c - t0) % instr.sample_every,
-                                    );
-                                }
-                                if framing {
-                                    next = next.min(c + instr.frame_every - c % instr.frame_every);
-                                }
-                                if pulsing {
-                                    next = next.min(c + PULSE_CHUNK);
-                                }
-                                engine.try_run(next - c)?;
-                                c = next;
-                                if pulsing {
-                                    pulse(c)?;
-                                }
-                                if sampling
-                                    && (c == t1 || (c - t0).is_multiple_of(instr.sample_every))
-                                {
-                                    if let Some(obs) = observer.as_ref() {
-                                        obs.sample(engine);
-                                    }
-                                }
-                                if framing && c.is_multiple_of(instr.frame_every) {
-                                    if let Some(fr) = framer.as_mut() {
-                                        instr.emit_frame(&fr.cut(c));
-                                    }
-                                }
+                        let sampler = observer.as_ref().filter(|_| every > 0);
+                        let mut c = t0;
+                        while c < t1 {
+                            let next = match sampler {
+                                Some(_) => t1.min(c + every - (c - t0) % every),
+                                None => t1,
+                            };
+                            engine.try_run(next - c)?;
+                            c = next;
+                            if let Some(obs) = sampler {
+                                obs.sample(engine);
                             }
                         }
                     }
@@ -1194,14 +1002,6 @@ pub(crate) fn run_impl(
     } else {
         None
     };
-    // A closing frame carries whatever moved since the last boundary —
-    // including the run-level gauges just published — then the sinks are
-    // flushed so files on disk are complete when `run` returns.
-    if let Some(fr) = framer.as_mut() {
-        instr.emit_frame(&fr.cut(engine.cycle()));
-        instr.finish_frames();
-    }
-
     Ok(RunReport {
         engine: engine.name(),
         gt: out.gt,
@@ -1357,54 +1157,6 @@ mod tests {
             run_fig1_point(&mut *e, 0.10, 7, &rc).expect("faulty run must not trip the checker");
         assert!(r.invariant_checks > 0);
         assert!(r.fault_dropped > 0, "stuck-idle plan dropped nothing");
-    }
-
-    #[test]
-    fn frames_stream_during_the_simulate_phase() {
-        let cfg = NetworkConfig::new(4, 4, Topology::Torus, 2);
-        let mut e = NativeNoc::new(cfg, IfaceConfig::default());
-        let buf = simtrace::FrameBuffer::new();
-        let obs = ObsConfig::new(64).with_frames(256, buf.clone());
-        let rc = RunConfig {
-            warmup: 500,
-            measure: 2_000,
-            drain: 500,
-            period: 512,
-            backlog_limit: 4_096,
-            obs: Some(obs),
-            check: false,
-            ..RunConfig::default()
-        };
-        let r = run_fig1_point(&mut e, 0.05, 7, &rc).expect("clean run");
-        assert_eq!(r.cycles, 3_000);
-        let frames = buf.frames();
-        // A boundary every 256 cycles over 3000 cycles, plus the closing
-        // frame cut after the run-level gauges are published.
-        assert_eq!(frames.len(), 3_000 / 256 + 1, "{}", frames.len());
-        for (i, f) in frames.iter().enumerate() {
-            assert_eq!(f.seq, i as u64, "frame seq must be dense");
-            simtrace::json::validate(&f.to_json()).expect("frame is valid JSON");
-        }
-        assert!(
-            frames.windows(2).all(|w| w[0].cycle < w[1].cycle),
-            "frame cycles must be strictly increasing"
-        );
-        let last = frames.last().expect("closing frame");
-        assert_eq!(last.cycle, 3_000);
-        assert!(
-            last.totals
-                .gauges
-                .iter()
-                .any(|(id, v, _)| id.name == "run.cycles" && *v == 3_000),
-            "closing frame carries the run-level gauges"
-        );
-        // The periodic frames carry link-activity deltas from the sampler.
-        assert!(
-            frames
-                .iter()
-                .any(|f| f.counters.iter().any(|(id, _)| id.name == "noc.samples")),
-            "sampled counters must appear as frame deltas"
-        );
     }
 
     #[test]

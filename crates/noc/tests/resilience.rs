@@ -1,23 +1,21 @@
-//! Resilience suite: durable checkpoints, kill-and-resume bit-identity
-//! and supervised recovery from injected panics and hangs.
+//! Resilience suite: durable checkpoints and kill-and-resume
+//! bit-identity.
 //!
 //! The load-bearing property throughout is *bit-identity*: a campaign
-//! resumed from a checkpoint — whether explicitly (`--resume` style) or
-//! through a supervisor retry after a crash — must finish with exactly
-//! the statistics an uninterrupted run produces, down to the float bits
-//! of every latency mean.
+//! resumed from a checkpoint — the newest cut, or an older one when the
+//! run was killed before a later cut landed or that cut is corrupt —
+//! must finish with exactly the statistics an uninterrupted run
+//! produces, down to the float bits of every latency mean.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use noc::{
-    ckpt, run_fig1_point, CampaignCkpt, ChaosConfig, CompiledNoc, NocEngine, ObsConfig, RunConfig,
-    RunReport, SeqNoc, SimError, Supervisor,
+    ckpt, run_fig1_point, CampaignCkpt, CompiledNoc, NocEngine, ObsConfig, RunConfig, RunReport,
+    SeqNoc, SimError,
 };
 use noc_types::{NetworkConfig, Topology};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use vc_router::IfaceConfig;
 
 const LOAD: f64 = 0.10;
@@ -113,23 +111,30 @@ fn scalar_resume_from_checkpoint_is_bit_identical() {
 
         // A fresh engine resuming from the newest cut (cycle 768) must
         // land on the identical final state and statistics.
-        let (_, mut fresh) = scalar_engines()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .unwrap();
-        let resumed = run_fig1_point(fresh.as_mut(), LOAD, SEED, &rc_ck.clone().resume(true))
-            .expect("resumed run");
-        assert_eq!(
-            resumed.resumed_at,
-            Some(768),
-            "{name}: resumes at newest cut"
-        );
-        assert_bit_identical(name, &resumed, &baseline);
-        assert_eq!(
-            engine.save_state(),
-            fresh.save_state(),
-            "{name}: engine state bytes diverge after resume"
-        );
+        let resume = |ctx: &str| {
+            let (_, mut fresh) = scalar_engines()
+                .into_iter()
+                .find(|(n, _)| *n == name)
+                .unwrap();
+            let resumed = run_fig1_point(fresh.as_mut(), LOAD, SEED, &rc_ck.clone().resume(true))
+                .expect("resumed run");
+            assert_bit_identical(&format!("{name} {ctx}"), &resumed, &baseline);
+            assert_eq!(
+                engine.save_state(),
+                fresh.save_state(),
+                "{name} {ctx}: engine state bytes diverge after resume"
+            );
+            resumed.resumed_at
+        };
+        assert_eq!(resume("newest"), Some(768), "{name}: resumes at newest cut");
+
+        // A run killed between the 256 and 512 cuts leaves only the
+        // oldest file: resuming from it must still land bit-identically.
+        // (The resume above re-cut nothing: 768 was its start.)
+        for cut in [512u64, 768] {
+            std::fs::remove_file(dir.join(format!("ckpt-{cut:012}.bin"))).expect("cut on disk");
+        }
+        assert_eq!(resume("earlier cut"), Some(256), "{name}: resumes at 256");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -351,96 +356,4 @@ fn engine_state_rejects_truncation_flips_and_foreign_engines() {
         2
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn supervisor_recovers_from_injected_panic_bit_identically() {
-    let cfg = net();
-    let mut clean = CompiledNoc::new(cfg, IfaceConfig::default());
-    let baseline = run_fig1_point(&mut clean, LOAD, SEED, &rc()).expect("baseline");
-
-    let dir = scratch("panic");
-    let rc_chaos = rc()
-        .checkpoint_every(256, &dir)
-        .chaos(ChaosConfig::new().panic_at(400));
-    let sup = Supervisor::new()
-        .max_attempts(3)
-        .backoff(Duration::from_millis(10));
-    let out = sup
-        .run_campaign(&rc_chaos, move |rc| {
-            let mut engine = CompiledNoc::new(cfg, IfaceConfig::default());
-            run_fig1_point(&mut engine, LOAD, SEED, &rc)
-        })
-        .expect("supervised campaign recovers");
-
-    assert_eq!(out.attempts, 2, "one crash, one clean retry");
-    assert_eq!(out.resumes, 1);
-    assert_eq!(out.failures.len(), 1);
-    assert!(
-        out.failures[0].contains("panic"),
-        "failure history records the panic: {:?}",
-        out.failures
-    );
-    assert_eq!(
-        out.report.resumed_at,
-        Some(256),
-        "retry resumed from the pre-crash cut"
-    );
-    assert_bit_identical("panic recovery", &out.report, &baseline);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn supervisor_recovers_from_injected_hang_bit_identically() {
-    let cfg = net();
-    let mut clean = CompiledNoc::new(cfg, IfaceConfig::default());
-    let baseline = run_fig1_point(&mut clean, LOAD, SEED, &rc()).expect("baseline");
-
-    let dir = scratch("hang");
-    let rc_chaos = rc()
-        .checkpoint_every(256, &dir)
-        .chaos(ChaosConfig::new().hang_at(400, 5_000));
-    // Generous timings: the suite runs tests concurrently, so a healthy
-    // attempt must never look stalled under CPU contention.
-    let mut sup = Supervisor::new()
-        .max_attempts(3)
-        .backoff(Duration::from_millis(10))
-        .stall_timeout(Duration::from_millis(1_000))
-        .poll(Duration::from_millis(25));
-    sup.grace = Duration::from_millis(100);
-    let out = sup
-        .run_campaign(&rc_chaos, move |rc| {
-            let mut engine = CompiledNoc::new(cfg, IfaceConfig::default());
-            run_fig1_point(&mut engine, LOAD, SEED, &rc)
-        })
-        .expect("supervised campaign recovers from the hang");
-
-    assert_eq!(out.attempts, 2, "one stall, one clean retry");
-    assert!(
-        out.failures[0].contains("stalled") || out.failures[0].contains("Stalled"),
-        "failure history records the stall: {:?}",
-        out.failures
-    );
-    assert_eq!(out.report.resumed_at, Some(256));
-    assert_bit_identical("hang recovery", &out.report, &baseline);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn supervisor_does_not_retry_deterministic_errors() {
-    let calls = Arc::new(AtomicU32::new(0));
-    let seen = calls.clone();
-    let sup = Supervisor::new().max_attempts(5);
-    let err = sup
-        .run_campaign(&rc(), move |_rc| {
-            seen.fetch_add(1, Ordering::Relaxed);
-            Err(SimError::Config("deterministic failure".into()))
-        })
-        .expect_err("deterministic errors surface");
-    assert_eq!(err, SimError::Config("deterministic failure".into()));
-    assert_eq!(
-        calls.load(Ordering::Relaxed),
-        1,
-        "no retry on deterministic errors"
-    );
 }

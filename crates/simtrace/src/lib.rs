@@ -12,9 +12,6 @@
 //!   Perfetto or `chrome://tracing`) or JSONL;
 //! * [`prof`] — graph-attributed kernel profiles: ranked hotspots,
 //!   collapsed-stack flamegraph text and run-to-run diffs;
-//! * [`frame`] — periodic telemetry frames cut from the registry and
-//!   streamed to pluggable sinks (JSONL, Prometheus exposition);
-//! * [`prom`] — the Prometheus text renderer behind [`PromSink`];
 //! * [`json`] — the dependency-free JSON writer (and a validating
 //!   reader) both are built on.
 //!
@@ -45,15 +42,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod frame;
 pub mod json;
 pub mod metrics;
 pub mod prof;
-pub mod prom;
 pub mod recover;
 pub mod trace;
 
-pub use frame::{Frame, FrameBuffer, FrameSink, FrameStreamer, JsonlSink, PromSink};
 pub use metrics::{lbl, Counter, Gauge, Hist, HistSnapshot, MetricsSnapshot, Registry, SeriesId};
 pub use prof::{DiffRow, ProfileEntry, ProfileReport, SccProfile};
 pub use trace::{ArgValue, Span, Tracer};

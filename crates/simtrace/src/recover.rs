@@ -1,17 +1,15 @@
 //! Canonical metric names of the resilience layer.
 //!
-//! The supervisor and the checkpointing runner publish their recovery
-//! bookkeeping as ordinary registry counters so it flows through the
-//! same telemetry frames (and Prometheus exposition) as every other
-//! `run.*`/`check.*` series. The names live here — next to the metrics
-//! substrate, away from any one publisher — so dashboards, the frame
-//! streamer and the chaos harness agree on one spelling.
+//! The checkpointing runner publishes its recovery bookkeeping as
+//! ordinary registry counters, so it lands in the same metrics snapshot
+//! as every other `run.*`/`check.*` series. The names live here — next
+//! to the metrics substrate, away from the publisher — so the runner and
+//! the tests that read the counters agree on one spelling.
 
 /// Counter: durable checkpoints written by the runner.
 pub const CHECKPOINTS_WRITTEN: &str = "recover.checkpoints_written";
 
-/// Counter: campaign resumes from a checkpoint (supervisor retries plus
-/// explicit `--resume` restarts).
+/// Counter: campaign resumes from a checkpoint (`--resume` restarts).
 pub const RESUMES: &str = "recover.resumes";
 
 /// Counter: checkpoint files rejected at resume time (truncated,

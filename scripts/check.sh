@@ -23,9 +23,6 @@ echo "==> speclint (zero error-severity diagnostics on built-in topologies)"
     --emit-bitflow target/bitflow_report.json
 ! ./target/release/speclint --no-such-flag 2>/dev/null
 
-echo "==> chaos smoke (injected panic + hang + corrupt checkpoint)"
-cargo run --release --bin chaos -- --dir target/chaos 2> /dev/null | tee target/chaos_report.txt
-
 echo "==> invariant-checker + profiler smoke (experiments --quick --check --faults --profile)"
 cargo run --release --bin experiments -- --quick --check --faults 2007 \
     --metrics target/check_metrics.json --profile target/profile.json > target/experiments_check.md
@@ -34,6 +31,7 @@ echo "==> simprof reads its own artefacts back"
 ./target/release/simprof summary target/profile.json --top 5 > /dev/null
 ./target/release/simprof flame target/profile.json --out target/profile_check.folded
 ./target/release/simprof diff target/profile.json target/profile.json > /dev/null
+! ./target/release/simprof summary target/profile.json --tpo 3 2>/dev/null
 
 echo "==> campaign benchmark smoke (benchmark/run.sh --quick: builds offline, every digest == native's)"
 benchmark/run.sh --quick > /dev/null

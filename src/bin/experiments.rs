@@ -18,8 +18,7 @@
 //! proves all five engines stay bit-identical while replaying it.
 //! `--profile FILE` runs a loaded 6x6 mesh on the sequential engine with
 //! the graph-attributed kernel profiler on, writes the ranked-hotspot
-//! JSON to FILE (plus FILE.folded flamegraph text, FILE.frames.jsonl
-//! telemetry frames and FILE.prom Prometheus exposition) and prints the
+//! JSON to FILE (plus FILE.folded flamegraph text) and prints the
 //! hotspot table — then feed the outputs to `simprof`.
 //! `--checkpoint-dir DIR` makes the Table 3/§6 sequential run cut a
 //! durable checkpoint every `--checkpoint-every N` cycles (default 1024)
@@ -95,8 +94,8 @@ fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, SimError> {
 }
 
 /// Profile the sequential engine on a loaded 6x6 mesh: graph-attributed
-/// per-block/per-SCC self time, telemetry frames and the flamegraph
-/// export — everything `simprof` consumes.
+/// per-block/per-SCC self time and the flamegraph export — everything
+/// `simprof` consumes.
 ///
 /// The invariant checker stays off here even under `--check`: its
 /// per-cycle audits run inside the simulate phase but outside block
@@ -104,23 +103,14 @@ fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, SimError> {
 /// without profiling anything — the checked sweeps above already cover
 /// the invariants.
 fn profile_hotspots(quick: bool, path: &PathBuf) -> Result<(), SimError> {
-    use std::io::BufWriter;
     let scale = if quick { 1 } else { 3 };
     let cfg = NetworkConfig::new(6, 6, noc_types::Topology::Mesh, 2);
-    let frames_path = path.with_extension("frames.jsonl");
-    let prom_path = path.with_extension("prom");
-    let frames_file = std::fs::File::create(&frames_path)
-        .map_err(|e| SimError::Config(format!("creating {}: {e}", frames_path.display())))?;
-    let obs = ObsConfig::with(Registry::new(), Tracer::disabled(), 64)
-        .with_frames(512, simtrace::JsonlSink::new(BufWriter::new(frames_file)));
-    obs.add_frame_sink(simtrace::PromSink::new(&prom_path));
     let rc = RunConfig {
         warmup: 300,
         measure: 2_000 * scale,
         drain: 0,
         period: 256,
         backlog_limit: 1 << 20,
-        obs: Some(obs),
         check: false,
         ..RunConfig::default()
     };
@@ -199,12 +189,10 @@ fn profile_hotspots(quick: bool, path: &PathBuf) -> Result<(), SimError> {
         "flamegraph text must be well-formed collapsed stacks"
     );
     eprintln!(
-        "profile: {} | flame: {} ({} stacks) | frames: {} | prom: {}",
+        "profile: {} | flame: {} ({} stacks)",
         path.display(),
         folded_path.display(),
-        folded.lines().count(),
-        frames_path.display(),
-        prom_path.display()
+        folded.lines().count()
     );
     println!();
     Ok(())

@@ -26,14 +26,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Value of `--flag V`, if present.
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 fn load_profile(path: &str) -> Result<ProfileReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     ProfileReport::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))
@@ -158,51 +150,171 @@ fn diff(old: &ProfileReport, new: &ProfileReport, top: usize) {
     );
 }
 
-fn real_main() -> Result<ExitCode, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let top: usize = flag(&args, "--top")
-        .map(|v| v.parse().map_err(|_| "--top requires an integer"))
-        .transpose()?
-        .unwrap_or(10);
-    match args.first().map(String::as_str) {
-        Some("summary") => {
-            let Some(path) = args.get(1) else {
-                return Ok(usage());
-            };
-            summary(&load_profile(path)?, top);
-            Ok(ExitCode::SUCCESS)
+/// One parsed command line.
+#[derive(Debug, PartialEq)]
+enum Cmd {
+    Summary {
+        path: String,
+        top: usize,
+    },
+    Diff {
+        old: String,
+        new: String,
+        top: usize,
+    },
+    Flame {
+        path: String,
+        out: Option<String>,
+    },
+}
+
+/// Parse the command line against each subcommand's allow-list: exactly
+/// its number of file arguments plus its one value flag (`--top N` for
+/// `summary`/`diff`, `--out FILE` for `flame`). Anything else — an
+/// unknown flag, a value flag without its value, a missing or extra file
+/// — is refused with the offending argument named.
+fn parse(args: &[String]) -> Result<Cmd, String> {
+    let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
+    let (files, value_flag) = match cmd.as_str() {
+        "summary" => (1, "--top"),
+        "diff" => (2, "--top"),
+        "flame" => (1, "--out"),
+        _ => return Err(format!("unknown subcommand {cmd}")),
+    };
+    let mut pos: Vec<&String> = Vec::new();
+    let mut value: Option<&String> = None;
+    let mut it = rest.iter();
+    while let Some(a) = it.next() {
+        if a == value_flag {
+            value = Some(
+                it.next()
+                    .ok_or_else(|| format!("{a} requires an argument"))?,
+            );
+        } else if a.starts_with('-') {
+            return Err(format!("unknown argument {a}"));
+        } else if pos.len() == files {
+            return Err(format!("unexpected argument {a}"));
+        } else {
+            pos.push(a);
         }
-        Some("diff") => {
-            let (Some(old), Some(new)) = (args.get(1), args.get(2)) else {
-                return Ok(usage());
-            };
-            diff(&load_profile(old)?, &load_profile(new)?, top);
-            Ok(ExitCode::SUCCESS)
-        }
-        Some("flame") => {
-            let Some(path) = args.get(1) else {
-                return Ok(usage());
-            };
-            let folded = load_profile(path)?.collapsed();
-            match flag(&args, "--out") {
+    }
+    let top = || match value {
+        None => Ok(10),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--top requires an integer, got {v}")),
+    };
+    match (cmd.as_str(), pos.as_slice()) {
+        ("summary", [path]) => Ok(Cmd::Summary {
+            path: path.to_string(),
+            top: top()?,
+        }),
+        ("diff", [old, new]) => Ok(Cmd::Diff {
+            old: old.to_string(),
+            new: new.to_string(),
+            top: top()?,
+        }),
+        ("flame", [path]) => Ok(Cmd::Flame {
+            path: path.to_string(),
+            out: value.cloned(),
+        }),
+        _ => Err(format!(
+            "{cmd} takes {files} file argument(s), got {}",
+            pos.len()
+        )),
+    }
+}
+
+fn run(cmd: Cmd) -> Result<(), String> {
+    match cmd {
+        Cmd::Summary { path, top } => summary(&load_profile(&path)?, top),
+        Cmd::Diff { old, new, top } => diff(&load_profile(&old)?, &load_profile(&new)?, top),
+        Cmd::Flame { path, out } => {
+            let folded = load_profile(&path)?.collapsed();
+            match out {
                 Some(out) => {
-                    std::fs::write(out, &folded).map_err(|e| format!("writing {out}: {e}"))?;
+                    std::fs::write(&out, &folded).map_err(|e| format!("writing {out}: {e}"))?;
                     eprintln!("wrote {out} ({} stacks)", folded.lines().count());
                 }
                 None => print!("{folded}"),
             }
-            Ok(ExitCode::SUCCESS)
         }
-        _ => Ok(usage()),
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    match real_main() {
-        Ok(code) => code,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cmd = match parse(&args) {
+        Ok(cmd) => cmd,
+        Err(e) => {
+            eprintln!("simprof: {e}");
+            return usage();
+        }
+    };
+    match run(cmd) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("simprof: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn mistyped_flags_and_stray_words_are_refused_by_name() {
+        for (line, named) in [
+            ("summary p.json --tpo 3", "--tpo"),
+            ("summary p.json --top", "--top"),
+            ("summary p.json extra words", "extra"),
+            ("flame p.json --out", "--out"),
+        ] {
+            let err = parse(&args(line)).expect_err(line);
+            assert!(err.contains(named), "{line}: {err}");
+        }
+        assert!(parse(&args("diff old.json")).is_err(), "one file short");
+        assert!(parse(&args("summary p.json --top x")).is_err());
+        assert!(parse(&args("bench-check")).is_err());
+    }
+
+    #[test]
+    fn valid_forms_parse() {
+        assert_eq!(
+            parse(&args("summary p.json --top 5")),
+            Ok(Cmd::Summary {
+                path: "p.json".into(),
+                top: 5
+            })
+        );
+        assert_eq!(
+            parse(&args("diff --top 3 old.json new.json")),
+            Ok(Cmd::Diff {
+                old: "old.json".into(),
+                new: "new.json".into(),
+                top: 3
+            })
+        );
+        assert_eq!(
+            parse(&args("flame p.json --out p.folded")),
+            Ok(Cmd::Flame {
+                path: "p.json".into(),
+                out: Some("p.folded".into())
+            })
+        );
+        assert_eq!(
+            parse(&args("flame p.json")),
+            Ok(Cmd::Flame {
+                path: "p.json".into(),
+                out: None
+            })
+        );
     }
 }

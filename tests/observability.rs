@@ -10,7 +10,9 @@ use noc_types::{NetworkConfig, Topology, NUM_VCS};
 use simtrace::{json, lbl, Registry, Tracer};
 use traffic::{BeConfig, StimuliGenerator, TrafficConfig};
 
-fn instrumented_mesh_run() -> (ObsConfig, noc::RunReport) {
+/// 700 cycles in periods of 128 (the last one 60 long), sampled every
+/// 32 cycles; `check` switches to the per-cycle stepped path.
+fn instrumented_mesh_run(check: bool) -> (ObsConfig, noc::RunReport) {
     let cfg = NetworkConfig::new(4, 4, Topology::Mesh, 2);
     let instr = ObsConfig::with(Registry::new(), Tracer::new(), 32);
     let rc = RunConfig::new()
@@ -19,6 +21,7 @@ fn instrumented_mesh_run() -> (ObsConfig, noc::RunReport) {
         .drain(200)
         .period(128)
         .backlog_limit(1 << 16)
+        .check(check)
         .obs(instr.clone());
     let mut session = SimBuilder::new(cfg)
         .engine(EngineKind::Seq)
@@ -38,7 +41,7 @@ fn instrumented_mesh_run() -> (ObsConfig, noc::RunReport) {
 
 #[test]
 fn trace_covers_all_phases_and_kernel_cycles() {
-    let (instr, report) = instrumented_mesh_run();
+    let (instr, report) = instrumented_mesh_run(false);
     let chrome = instr.tracer.to_chrome_json();
     json::validate(&chrome).expect("chrome trace must be valid JSON");
 
@@ -69,7 +72,7 @@ fn trace_covers_all_phases_and_kernel_cycles() {
 
 #[test]
 fn metrics_snapshot_has_kernel_and_noc_series() {
-    let (instr, report) = instrumented_mesh_run();
+    let (instr, report) = instrumented_mesh_run(false);
     let snap = report
         .metrics
         .as_ref()
@@ -108,6 +111,18 @@ fn metrics_snapshot_has_kernel_and_noc_series() {
     assert!(snap.contains("\"noc.vc_occupancy\""));
     assert!(snap.contains("\"kernel.re_evals\""));
     assert!(snap.contains("\"run.delta.system_cycles\""));
+
+    // Sampler cadence, pinned for both simulate-phase paths. Samples
+    // fall every 32 cycles counted from each period's start. The
+    // period-strided path also samples at each period's end: 4 per full
+    // period, 2 in the 60-cycle tail. The stepped (checked) path does not:
+    // 1 in the tail.
+    assert_eq!(report.cycles, 700);
+    assert_eq!(r.counter_value("noc.samples", &[]), Some(22));
+    let (checked, report) = instrumented_mesh_run(true);
+    assert_eq!(report.cycles, 700);
+    assert!(report.invariant_checks > 0);
+    assert_eq!(checked.registry.counter_value("noc.samples", &[]), Some(21));
 }
 
 #[test]

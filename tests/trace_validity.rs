@@ -9,7 +9,7 @@
 use noc::{EngineKind, NativeNoc, ObsConfig, RunConfig, SimBuilder};
 use noc_types::{NetworkConfig, Topology};
 use simtrace::json::{self, JsonValue};
-use simtrace::{lbl, FrameBuffer, FrameStreamer, Registry, Tracer};
+use simtrace::{lbl, Registry, Tracer};
 use vc_router::IfaceConfig;
 
 /// Deterministic xorshift64* PRNG — no external crates.
@@ -61,11 +61,6 @@ impl Rng {
     }
 }
 
-/// Decode the first string value of `key` in a parsed JSON object tree.
-fn lookup<'a>(v: &'a JsonValue, key: &str) -> Option<&'a str> {
-    v.get(key).and_then(JsonValue::str)
-}
-
 #[test]
 fn metric_snapshots_escape_arbitrary_names_and_labels() {
     let mut rng = Rng(0xDEAD_BEEF);
@@ -96,28 +91,6 @@ fn metric_snapshots_escape_arbitrary_names_and_labels() {
                 "round {round}: name/label {name:?}/{label_v:?} lost in round-trip"
             );
         }
-    }
-}
-
-#[test]
-fn frame_lines_parse_with_arbitrary_series() {
-    let mut rng = Rng(0x5EED);
-    for _ in 0..30 {
-        let registry = Registry::new();
-        let name = rng.string();
-        let label = rng.string();
-        registry.counter(&name, &[("l", lbl(&label))]).add(1);
-        registry.hist(&rng.string(), &[]).record(rng.next() % 100);
-        let mut streamer = FrameStreamer::new(registry.clone());
-        let frame = streamer.cut(rng.next() % 10_000);
-        let line = frame.to_json();
-        json::validate(&line).unwrap_or_else(|e| panic!("invalid frame line: {e}\n{line}"));
-        let doc = json::parse(&line).expect("frame parses");
-        let counters = doc.get("counters").and_then(JsonValue::items).unwrap();
-        assert!(
-            counters.iter().any(|c| lookup(c, "name") == Some(&name)),
-            "counter name {name:?} lost in frame"
-        );
     }
 }
 
@@ -160,14 +133,13 @@ fn tracer_jsonl_and_chrome_survive_hostile_args() {
 }
 
 #[test]
-fn early_stopped_run_emits_wellformed_trace_and_frames() {
+fn early_stopped_run_emits_wellformed_trace() {
     // A 4x4 torus at BE 0.9 with a tiny backlog limit saturates and
-    // stops the run early — the trace and frame streams must still be
-    // complete, closed documents.
+    // stops the run early — the trace must still be a complete, closed
+    // document.
     let cfg = NetworkConfig::new(4, 4, Topology::Torus, 2);
     let mut engine = NativeNoc::new(cfg, IfaceConfig::default());
-    let frames = FrameBuffer::new();
-    let obs = ObsConfig::with(Registry::new(), Tracer::new(), 32).with_frames(64, frames.clone());
+    let obs = ObsConfig::with(Registry::new(), Tracer::new(), 32);
     let rc = RunConfig {
         warmup: 0,
         measure: 20_000,
@@ -187,13 +159,6 @@ fn early_stopped_run_emits_wellformed_trace_and_frames() {
     for line in obs.tracer.to_jsonl().lines() {
         json::validate(line).expect("JSONL line valid after early stop");
     }
-    let frames = frames.frames();
-    assert!(!frames.is_empty(), "frames were cut before the stop");
-    for f in &frames {
-        json::validate(&f.to_json()).expect("frame line valid after early stop");
-    }
-    // The closing frame still lands, at the cycle the run stopped on.
-    assert_eq!(frames.last().unwrap().cycle, r.cycles);
 }
 
 #[test]
