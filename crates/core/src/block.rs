@@ -58,120 +58,6 @@ impl CombInputs {
     }
 }
 
-/// A per-bit boolean expression over a block's *input port bits*: the
-/// bit-level analogue of [`CombInputs`], declared by
-/// [`BlockKind::bit_semantics`] and consumed by the `speccheck` bitflow
-/// pass (constant folding, copy propagation).
-///
-/// An expression must be a sound model of the corresponding output bit:
-/// for every reachable `(cur, inputs, cycle)` the concrete bit `eval`
-/// produces must equal the expression evaluated over the concrete input
-/// bits. [`BitExpr::Opaque`] is always sound — it promises nothing
-/// beyond *which* input bits the output bit may depend on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BitExpr {
-    /// The bit is this constant in every cycle.
-    Const(bool),
-    /// The bit copies input bit `bit` of input port `port` verbatim.
-    In {
-        /// Input port index.
-        port: usize,
-        /// Bit index within that port's link word.
-        bit: usize,
-    },
-    /// Logical NOT of the operand.
-    Not(Box<BitExpr>),
-    /// Logical AND of the operands.
-    And(Box<BitExpr>, Box<BitExpr>),
-    /// Logical OR of the operands.
-    Or(Box<BitExpr>, Box<BitExpr>),
-    /// Logical XOR of the operands.
-    Xor(Box<BitExpr>, Box<BitExpr>),
-    /// An unmodelled function of the listed `(port, bit)` input bits
-    /// (and possibly internal state). Dataflow treats the bit as
-    /// Unknown; the dependency list still feeds bit-independence
-    /// proofs. An empty list means "state/cycle only" — unknown value,
-    /// but independent of every input bit.
-    Opaque {
-        /// Every input `(port, bit)` the output bit may depend on.
-        deps: Vec<(usize, usize)>,
-    },
-}
-
-impl BitExpr {
-    /// Every input `(port, bit)` this expression reads, in first-visit
-    /// order (duplicates removed).
-    pub fn deps(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        self.collect_deps(&mut out);
-        out
-    }
-
-    fn collect_deps(&self, out: &mut Vec<(usize, usize)>) {
-        match self {
-            BitExpr::Const(_) => {}
-            BitExpr::In { port, bit } => {
-                if !out.contains(&(*port, *bit)) {
-                    out.push((*port, *bit));
-                }
-            }
-            BitExpr::Not(a) => a.collect_deps(out),
-            BitExpr::And(a, b) | BitExpr::Or(a, b) | BitExpr::Xor(a, b) => {
-                a.collect_deps(out);
-                b.collect_deps(out);
-            }
-            BitExpr::Opaque { deps } => {
-                for d in deps {
-                    if !out.contains(d) {
-                        out.push(*d);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Evaluate over concrete input port words (bit `b` of `inputs[p]`
-    /// supplies `In { port: p, bit: b }`). `Opaque` must not be
-    /// evaluated — callers check [`is_pure`](Self::is_pure) first.
-    ///
-    /// # Panics
-    /// On an [`Opaque`](BitExpr::Opaque) node.
-    pub fn eval_concrete(&self, inputs: &[u64]) -> bool {
-        match self {
-            BitExpr::Const(c) => *c,
-            BitExpr::In { port, bit } => (inputs[*port] >> bit) & 1 == 1,
-            BitExpr::Not(a) => !a.eval_concrete(inputs),
-            BitExpr::And(a, b) => a.eval_concrete(inputs) && b.eval_concrete(inputs),
-            BitExpr::Or(a, b) => a.eval_concrete(inputs) || b.eval_concrete(inputs),
-            BitExpr::Xor(a, b) => a.eval_concrete(inputs) != b.eval_concrete(inputs),
-            BitExpr::Opaque { .. } => panic!("eval_concrete on an opaque bit expression"),
-        }
-    }
-
-    /// Is this expression free of [`Opaque`](BitExpr::Opaque) nodes
-    /// (i.e. a complete boolean model, evaluable by
-    /// [`eval_concrete`](Self::eval_concrete))?
-    pub fn is_pure(&self) -> bool {
-        match self {
-            BitExpr::Const(_) | BitExpr::In { .. } => true,
-            BitExpr::Not(a) => a.is_pure(),
-            BitExpr::And(a, b) | BitExpr::Or(a, b) | BitExpr::Xor(a, b) => {
-                a.is_pure() && b.is_pure()
-            }
-            BitExpr::Opaque { .. } => false,
-        }
-    }
-}
-
-/// The declared bit-level semantics of one *output port*: one
-/// [`BitExpr`] per bit, LSB first, `bits.len()` equal to the port's
-/// declared width.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSemantics {
-    /// One expression per output bit, index 0 = LSB.
-    pub bits: Vec<BitExpr>,
-}
-
 /// A shared block implementation: the combinational circuitry plus the
 /// declaration of its register and port shape.
 ///
@@ -251,34 +137,10 @@ pub trait BlockKind: Send {
     /// ([`crate::compile::CompiledEngine`]): keeps decoded per-instance
     /// state between cycles, splitting `eval` into per-level comb passes
     /// and one clock edge. Must be observably bit-identical to `eval`
-    /// (the differential suites enforce this). Default: `None`, which
-    /// makes the compiler fall back to packed `eval` opcodes — always
-    /// correct, just slower.
+    /// (the differential suites enforce this). The compiled engine
+    /// requires one for every kind of the spec it lowers; the default
+    /// `None` leaves the kind to the interpreting engines.
     fn compile(&self) -> Option<Box<dyn crate::compile::CompiledExec>> {
-        None
-    }
-
-    /// The bit-level semantics of output `port`, if this kind models
-    /// them. `None` (the default) makes the bitflow analysis treat
-    /// every bit of the output as Unknown with a dependency on *every*
-    /// bit of *every* input — always sound, never useful.
-    ///
-    /// An override must be sound per bit (see [`BitExpr`]); the
-    /// bitflow soundness property suite cross-checks declared
-    /// semantics against concrete runs.
-    fn bit_semantics(&self, port: usize) -> Option<BitSemantics> {
-        let _ = port;
-        None
-    }
-
-    /// Which bits of input `port` `eval` can observe: `Some(mask)` with
-    /// one `bool` per bit (LSB first, length = the port's width) marks
-    /// unread bits `false`; `None` (the default) declares every bit
-    /// read. Feeds the bitflow `DEAD_BIT` lint. An override must be
-    /// sound: marking a bit unread that `eval` actually observes makes
-    /// dead-bit reports wrong.
-    fn input_bits_used(&self, port: usize) -> Option<Vec<bool>> {
-        let _ = port;
         None
     }
 }

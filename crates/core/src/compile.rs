@@ -11,26 +11,26 @@
 //!   `u64` offsets in one contiguous allocation ([`Arena`]); a link read
 //!   is one indexed load, the bank swap is an XOR of one offset.
 //! * **Bytecode** — the per-cycle work is a flat [`Op`] list executed by
-//!   a computed-dispatch `match` ([`CompiledEngine::try_step`]). Gather
+//!   a computed-dispatch `match` ([`CompiledEngine::step`]). Gather
 //!   and scatter port↔link moves are table-driven
 //!   ([`CompiledProgram::gathers`] / [`scatters`](CompiledProgram::scatters)).
-//! * **HBR elision** — when the port-level combinational graph is
-//!   acyclic (the analyzer's single-evaluation proof), the program is a
+//! * **HBR elision** — the port-level combinational graph is acyclic
+//!   (the analyzer's single-evaluation proof), so the program is a
 //!   straight line: one comb pass per dependency level, then one
 //!   state-update pass. No change detection, no re-evaluation, no
 //!   worklist — each value is written exactly once per cycle, after
 //!   everything it depends on has settled.
-//! * **Specialized opcodes** — a [`BlockKind`] may provide a
-//!   [`CompiledExec`] ([`BlockKind::compile`]) that keeps its register
-//!   state *decoded* between cycles, eliding the per-delta pack/unpack
-//!   of the generic path; kinds without one fall back to packed
-//!   [`Op::CombPacked`] / [`Op::UpdatePacked`] evaluation, which is
-//!   bit-identical by construction.
+//! * **Specialized opcodes** — every [`BlockKind`](crate::BlockKind) of
+//!   the spec provides a [`CompiledExec`]
+//!   ([`BlockKind::compile`](crate::BlockKind::compile)) that keeps its
+//!   register state *decoded* between cycles, eliding the per-delta
+//!   pack/unpack of the interpreting engines.
 //!
-//! If the comb graph is cyclic the compiler degrades to a bounded
-//! fixed-point program ([`ProgramMode::FixedPoint`]): full passes over
-//! all blocks until no link changes, with a divergence budget — the
-//! semantics of [`Scheduling::FullPasses`](crate::Scheduling::FullPasses).
+//! This is a static-schedule compiler: it lowers acyclic specs whose
+//! kinds all ship an exec, and [`CompiledProgram::compile`] refuses any
+//! other. A combinational cycle is the paper's §4.2 case; such specs run
+//! on the interpreting [`DynamicEngine`](crate::DynamicEngine), whose HBR
+//! scheduler is that method.
 //!
 //! # Why the straight-line program is bit-identical
 //!
@@ -39,23 +39,17 @@
 //! only on links driven by ports at levels < ℓ (plus registered state,
 //! constants and externals). The program scatters all level-0 outputs,
 //! then all level-1 outputs, … so by the time an op runs, every link it
-//! is allowed to read holds its settled value for this cycle. A packed
-//! fallback op evaluates the whole block but scatters *only* the ports
-//! of its level, so not-yet-settled garbage it may compute from stale
-//! inputs never reaches a link; its side-ring writes are idempotent by
-//! the [`BlockKind`] contract (the HBR engine re-evaluates under the
-//! same assumption). The final update pass then sees exactly the link
-//! values a parallel-settled hardware cycle would produce.
+//! is allowed to read holds its settled value for this cycle. An op
+//! scatters *only* the ports of its level, so a value an exec computes
+//! from not-yet-settled inputs never reaches a link. The final update
+//! pass then sees exactly the link values a parallel-settled hardware
+//! cycle would produce.
 
 use crate::block::{CombInputs, LinkDriver, SystemSpec};
 use crate::counters::DeltaStats;
-use crate::error::SimError;
 use crate::profiler::KernelProfiler;
 use crate::side::{SideMem, SideView};
 use noc_types::bits::words_for_bits;
-
-/// Default fixed-point pass budget per system cycle (cyclic specs only).
-pub const DEFAULT_MAX_PASSES: u32 = 64;
 
 // ---------------------------------------------------------------------------
 // Specialized execution units
@@ -206,23 +200,6 @@ pub enum Op {
         /// Output moves (this level's ports only).
         scatter: OpRange,
     },
-    /// Packed-fallback comb pass: full [`BlockKind::eval`] with current
-    /// state, next-state words discarded, only this level's outputs
-    /// scattered.
-    CombPacked {
-        /// Kind id.
-        kind: u32,
-        /// Block-local comb pass index (disassembly only).
-        pass: u32,
-        /// Block id.
-        block: u32,
-        /// Instance index within the kind.
-        instance: u32,
-        /// Input moves (all input ports).
-        gather: OpRange,
-        /// Output moves (this level's ports only).
-        scatter: OpRange,
-    },
     /// Specialized clock edge via the kind's [`CompiledExec`].
     Update {
         /// Kind id (exec table index).
@@ -234,92 +211,36 @@ pub enum Op {
         /// Input moves (all input ports).
         gather: OpRange,
     },
-    /// Packed-fallback clock edge: full [`BlockKind::eval`] writing the
-    /// next-state bank; outputs discarded (already scattered by the comb
-    /// passes).
-    UpdatePacked {
-        /// Kind id.
-        kind: u32,
-        /// Block id.
-        block: u32,
-        /// Instance index within the kind.
-        instance: u32,
-        /// Input moves (all input ports).
-        gather: OpRange,
-    },
-    /// Fixed-point full evaluation (cyclic comb graphs only): full
-    /// [`BlockKind::eval`], next-state bank written, all outputs
-    /// scattered with change detection.
-    EvalFull {
-        /// Kind id.
-        kind: u32,
-        /// Block id.
-        block: u32,
-        /// Instance index within the kind.
-        instance: u32,
-        /// Input moves (all input ports).
-        gather: OpRange,
-        /// Output moves (all output ports).
-        scatter: OpRange,
-    },
 }
 
 impl Op {
     /// The block this op is attributed to.
     pub fn block(&self) -> usize {
         match *self {
-            Op::Comb { block, .. }
-            | Op::CombPacked { block, .. }
-            | Op::Update { block, .. }
-            | Op::UpdatePacked { block, .. }
-            | Op::EvalFull { block, .. } => block as usize,
+            Op::Comb { block, .. } | Op::Update { block, .. } => block as usize,
         }
     }
 
     /// The scatter window, if this op writes links.
     pub fn scatter(&self) -> Option<OpRange> {
         match *self {
-            Op::Comb { scatter, .. }
-            | Op::CombPacked { scatter, .. }
-            | Op::EvalFull { scatter, .. } => Some(scatter),
-            Op::Update { .. } | Op::UpdatePacked { .. } => None,
+            Op::Comb { scatter, .. } => Some(scatter),
+            Op::Update { .. } => None,
         }
     }
 }
 
-/// How the program advances one system cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProgramMode {
-    /// Acyclic comb graph: one pass over `ops[..update_start]` (comb,
-    /// grouped by dependency level), one pass over
-    /// `ops[update_start..]` (updates). HBR fully elided.
-    StraightLine {
-        /// Number of comb dependency levels.
-        levels: u32,
-    },
-    /// Cyclic comb graph: repeat full passes over all ops until no link
-    /// changes, up to `max_passes` per cycle (then
-    /// [`SimError::Diverged`]).
-    FixedPoint {
-        /// Pass budget per system cycle.
-        max_passes: u32,
-    },
-}
-
 /// A bit-slicing plan: links the compiler decomposes into per-bit
-/// arena sub-words when lowering a straight-line program.
+/// arena sub-words.
 ///
 /// Slicing is *unconditionally semantics-preserving*: the scatter
 /// splits the driver's exact output bits into one word per bit and the
 /// gather reassembles the exact same word at every consumer, so a
 /// sliced program is bit-identical to the unsliced one by construction.
-/// The plan only decides where the per-bit representation is worth the
-/// extra moves — the `speccheck` bitflow pass derives it from proven
-/// bit independence.
+/// No engine build passes a non-empty plan.
 ///
 /// Links that cannot be sliced (width outside `2..=64`, or not
-/// block-driven) are silently skipped; fixed-point programs ignore the
-/// plan entirely.
+/// block-driven) are silently skipped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlicePlan {
     /// Link ids to slice (any order; duplicates are ignored).
@@ -340,44 +261,30 @@ pub struct SliceEntry {
 }
 
 /// Options for [`CompiledProgram::compile`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
     /// Block evaluation order inside each pass (e.g. the hybrid
-    /// schedule's topological order). Defaults to spec order; any
-    /// permutation is bit-identical in straight-line mode.
+    /// schedule's topological order): a permutation of the block ids.
+    /// Defaults to spec order; any permutation is bit-identical.
     pub order: Option<Vec<usize>>,
-    /// Fixed-point pass budget per cycle (cyclic specs only).
-    pub max_passes: u32,
     /// Links to decompose into per-bit sub-words (see [`SlicePlan`]).
     pub slice: SlicePlan,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            order: None,
-            max_passes: DEFAULT_MAX_PASSES,
-            slice: SlicePlan::default(),
-        }
-    }
 }
 
 /// A compiled schedule: the bytecode, its gather/scatter side tables,
 /// and the arena geometry it addresses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
-    /// Execution mode.
-    pub mode: ProgramMode,
-    /// The flat instruction list. In straight-line mode,
-    /// `ops[..update_start]` are comb passes in level order and
-    /// `ops[update_start..]` are updates; in fixed-point mode the whole
-    /// list is the per-pass body.
+    /// Number of comb dependency levels.
+    pub levels: u32,
+    /// The flat instruction list: `ops[..update_start]` are comb passes
+    /// in level order and `ops[update_start..]` are updates.
     pub ops: Vec<Op>,
     /// Gather side table ([`OpRange`]-indexed).
     pub gathers: Vec<GatherMove>,
     /// Scatter side table ([`OpRange`]-indexed).
     pub scatters: Vec<ScatterMove>,
-    /// First update op (straight-line mode; `0` in fixed-point mode).
+    /// First update op.
     pub update_start: usize,
     /// Number of blocks in the source spec.
     pub n_blocks: usize,
@@ -388,9 +295,19 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Lower `spec` into a program. Chooses straight-line mode when the
-    /// port-level comb graph is acyclic (always, for the NoC router
-    /// specs — the analyzer proves it), fixed-point mode otherwise.
+    /// Lower `spec` into a straight-line program.
+    ///
+    /// # Panics
+    /// - If `opts.order` is not a permutation of the block ids; the
+    ///   message names the first block listed other than once.
+    /// - If the port-level comb graph is cyclic; the message names the
+    ///   links on or behind the cycle.
+    /// - If a kind of the spec has no [`CompiledExec`]
+    ///   ([`BlockKind::compile`](crate::BlockKind::compile) returns
+    ///   `None`); the message names the kind.
+    ///
+    /// Specs refused for either of the last two reasons run on the
+    /// interpreting [`DynamicEngine`](crate::DynamicEngine).
     pub fn compile(spec: &SystemSpec, opts: &CompileOptions) -> CompiledProgram {
         let blocks = spec.blocks();
         let kinds = spec.kinds();
@@ -399,15 +316,24 @@ impl CompiledProgram {
 
         let order: Vec<usize> = match &opts.order {
             Some(o) => {
-                assert_eq!(o.len(), nb, "order must list every block exactly once");
+                let mut listed = vec![0usize; nb];
+                for &b in o {
+                    assert!(
+                        b < nb,
+                        "order lists block {b}, but the spec has {nb} blocks"
+                    );
+                    listed[b] += 1;
+                }
+                if let Some(b) = listed.iter().position(|&n| n != 1) {
+                    panic!(
+                        "order must list every block exactly once: block {b} is listed {} times",
+                        listed[b]
+                    );
+                }
                 o.clone()
             }
             None => (0..nb).collect(),
         };
-
-        // Which kinds ship a specialized exec? (Probe once; the engine
-        // instantiates its own copies.)
-        let has_exec: Vec<bool> = kinds.iter().map(|k| k.compile().is_some()).collect();
 
         // ---- port-level comb levels (Kahn) ----
         let mut port_base = vec![0usize; nb + 1];
@@ -452,9 +378,29 @@ impl CompiledProgram {
                 }
             }
         }
-        let cyclic = processed < np;
+        if processed < np {
+            let mut cyclic = Vec::new();
+            for (b, inst) in blocks.iter().enumerate() {
+                for (p, &l) in inst.outputs.iter().enumerate() {
+                    if indeg[port_base[b] + p] > 0 {
+                        cyclic.push(l);
+                    }
+                }
+            }
+            panic!(
+                "combinational cycle through links {cyclic:?}: the compiled engine \
+                 lowers acyclic specs only; run this spec on DynamicEngine"
+            );
+        }
+        if let Some(k) = kinds.iter().find(|k| k.compile().is_none()) {
+            panic!(
+                "kind `{}` has no CompiledExec (BlockKind::compile): the compiled \
+                 engine cannot lower it; run this spec on DynamicEngine",
+                k.name()
+            );
+        }
 
-        // ---- slice-plan resolution (straight-line mode only) ----
+        // ---- slice-plan resolution ----
         // `sub_base[l]` is the arena word of link `l`'s bit 0 when
         // sliced, `usize::MAX` otherwise. Ineligible links (width
         // outside 2..=64, or not block-driven — external/const words
@@ -462,23 +408,21 @@ impl CompiledProgram {
         // are skipped.
         let mut sub_base = vec![usize::MAX; links.len()];
         let mut n_sub = 0usize;
-        if !cyclic {
-            let mut wanted = opts.slice.links.clone();
-            wanted.sort_unstable();
-            wanted.dedup();
-            for l in wanted {
-                if l < links.len()
-                    && (2..=64).contains(&links[l].width)
-                    && matches!(links[l].driver, LinkDriver::Block { .. })
-                {
-                    sub_base[l] = links.len() + n_sub;
-                    n_sub += links[l].width;
-                }
+        let mut wanted = opts.slice.links.clone();
+        wanted.sort_unstable();
+        wanted.dedup();
+        for l in wanted {
+            if l < links.len()
+                && (2..=64).contains(&links[l].width)
+                && matches!(links[l].driver, LinkDriver::Block { .. })
+            {
+                sub_base[l] = links.len() + n_sub;
+                n_sub += links[l].width;
             }
         }
 
         let mut prog = CompiledProgram {
-            mode: ProgramMode::StraightLine { levels: 0 },
+            levels: 0,
             ops: Vec::new(),
             gathers: Vec::new(),
             scatters: Vec::new(),
@@ -551,33 +495,6 @@ impl CompiledProgram {
             }
         };
 
-        if cyclic {
-            // Degenerate mode: bounded fixed-point full passes.
-            prog.mode = ProgramMode::FixedPoint {
-                max_passes: opts.max_passes.max(1),
-            };
-            for &b in &order {
-                let inst = &blocks[b];
-                let all_in: Vec<usize> = (0..inst.inputs.len()).collect();
-                let gather = push_gather(&mut prog.gathers, &all_in, b);
-                let sstart = prog.scatters.len() as u32;
-                for (p, &l) in inst.outputs.iter().enumerate() {
-                    push_scatter(&mut prog.scatters, p, l);
-                }
-                prog.ops.push(Op::EvalFull {
-                    kind: inst.kind as u32,
-                    block: b as u32,
-                    instance: inst.instance_of_kind as u32,
-                    gather,
-                    scatter: OpRange {
-                        start: sstart,
-                        len: prog.scatters.len() as u32 - sstart,
-                    },
-                });
-            }
-            return prog;
-        }
-
         // ---- straight-line emission ----
         let n_levels = if np == 0 {
             0
@@ -609,40 +526,27 @@ impl CompiledProgram {
                     start: sstart,
                     len: prog.scatters.len() as u32 - sstart,
                 };
-                if has_exec[inst.kind] {
-                    // Gather only the pass's declared comb dependencies.
-                    let mut deps = std::collections::BTreeSet::new();
-                    for &p in &outs_at {
-                        match kind.comb_inputs(p) {
-                            CombInputs::None => {}
-                            CombInputs::All => {
-                                deps.extend(0..inst.inputs.len());
-                            }
-                            CombInputs::Some(list) => deps.extend(list),
+                // Gather only the pass's declared comb dependencies.
+                let mut deps = std::collections::BTreeSet::new();
+                for &p in &outs_at {
+                    match kind.comb_inputs(p) {
+                        CombInputs::None => {}
+                        CombInputs::All => {
+                            deps.extend(0..inst.inputs.len());
                         }
+                        CombInputs::Some(list) => deps.extend(list),
                     }
-                    let deps: Vec<usize> = deps.into_iter().collect();
-                    let gather = push_gather(&mut prog.gathers, &deps, b);
-                    prog.ops.push(Op::Comb {
-                        kind: inst.kind as u32,
-                        pass,
-                        block: b as u32,
-                        instance: inst.instance_of_kind as u32,
-                        gather,
-                        scatter,
-                    });
-                } else {
-                    let all_in: Vec<usize> = (0..inst.inputs.len()).collect();
-                    let gather = push_gather(&mut prog.gathers, &all_in, b);
-                    prog.ops.push(Op::CombPacked {
-                        kind: inst.kind as u32,
-                        pass,
-                        block: b as u32,
-                        instance: inst.instance_of_kind as u32,
-                        gather,
-                        scatter,
-                    });
                 }
+                let deps: Vec<usize> = deps.into_iter().collect();
+                let gather = push_gather(&mut prog.gathers, &deps, b);
+                prog.ops.push(Op::Comb {
+                    kind: inst.kind as u32,
+                    pass,
+                    block: b as u32,
+                    instance: inst.instance_of_kind as u32,
+                    gather,
+                    scatter,
+                });
             }
         }
         prog.update_start = prog.ops.len();
@@ -650,23 +554,14 @@ impl CompiledProgram {
             let inst = &blocks[b];
             let all_in: Vec<usize> = (0..inst.inputs.len()).collect();
             let gather = push_gather(&mut prog.gathers, &all_in, b);
-            if has_exec[inst.kind] {
-                prog.ops.push(Op::Update {
-                    kind: inst.kind as u32,
-                    block: b as u32,
-                    instance: inst.instance_of_kind as u32,
-                    gather,
-                });
-            } else {
-                prog.ops.push(Op::UpdatePacked {
-                    kind: inst.kind as u32,
-                    block: b as u32,
-                    instance: inst.instance_of_kind as u32,
-                    gather,
-                });
-            }
+            prog.ops.push(Op::Update {
+                kind: inst.kind as u32,
+                block: b as u32,
+                instance: inst.instance_of_kind as u32,
+                gather,
+            });
         }
-        prog.mode = ProgramMode::StraightLine { levels: n_levels };
+        prog.levels = n_levels;
         prog
     }
 
@@ -698,14 +593,7 @@ impl CompiledProgram {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("; seqsim compiled program\n");
-        match self.mode {
-            ProgramMode::StraightLine { levels } => {
-                let _ = writeln!(out, "mode straight levels={levels}");
-            }
-            ProgramMode::FixedPoint { max_passes } => {
-                let _ = writeln!(out, "mode fixed_point max_passes={max_passes}");
-            }
-        }
+        let _ = writeln!(out, "mode straight levels={}", self.levels);
         let _ = writeln!(out, "blocks {}", self.n_blocks);
         let _ = writeln!(out, "links {}", self.n_links);
         let _ = writeln!(out, "update_start {}", self.update_start);
@@ -755,21 +643,6 @@ impl CompiledProgram {
                         s(scatter)
                     );
                 }
-                Op::CombPacked {
-                    kind,
-                    pass,
-                    block,
-                    instance,
-                    gather,
-                    scatter,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "op comb_packed k={kind} p={pass} b={block} i={instance} g={} s={}",
-                        g(gather),
-                        s(scatter)
-                    );
-                }
                 Op::Update {
                     kind,
                     block,
@@ -782,32 +655,6 @@ impl CompiledProgram {
                         g(gather)
                     );
                 }
-                Op::UpdatePacked {
-                    kind,
-                    block,
-                    instance,
-                    gather,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "op update_packed k={kind} b={block} i={instance} g={}",
-                        g(gather)
-                    );
-                }
-                Op::EvalFull {
-                    kind,
-                    block,
-                    instance,
-                    gather,
-                    scatter,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "op eval_full k={kind} b={block} i={instance} g={} s={}",
-                        g(gather),
-                        s(scatter)
-                    );
-                }
             }
         }
         out
@@ -817,7 +664,7 @@ impl CompiledProgram {
     /// a program (round-trips exactly, `PartialEq`-comparable).
     pub fn parse(text: &str) -> Result<CompiledProgram, String> {
         let mut prog = CompiledProgram {
-            mode: ProgramMode::StraightLine { levels: 0 },
+            levels: 0,
             ops: Vec::new(),
             gathers: Vec::new(),
             scatters: Vec::new(),
@@ -908,17 +755,10 @@ impl CompiledProgram {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("mode ") {
-                prog.mode = if rest.starts_with("straight") {
-                    ProgramMode::StraightLine {
-                        levels: num(&field(rest, "levels")?)?,
-                    }
-                } else if rest.starts_with("fixed_point") {
-                    ProgramMode::FixedPoint {
-                        max_passes: num(&field(rest, "max_passes")?)?,
-                    }
-                } else {
+                if !rest.starts_with("straight ") {
                     return Err(format!("unknown mode `{rest}`"));
-                };
+                }
+                prog.levels = num(&field(rest, "levels")?)?;
             } else if let Some(rest) = line.strip_prefix("blocks ") {
                 prog.n_blocks = num(rest.trim())?;
             } else if let Some(rest) = line.strip_prefix("links ") {
@@ -939,19 +779,7 @@ impl CompiledProgram {
                 let kind = num(&field(rest, "k")?)?;
                 let block = num(&field(rest, "b")?)?;
                 let instance = num(&field(rest, "i")?)?;
-                if rest.starts_with("comb_packed ") {
-                    let pass = num(&field(rest, "p")?)?;
-                    let gather = parse_gather(&mut prog, rest)?;
-                    let scatter = parse_scatter(&mut prog, rest)?;
-                    prog.ops.push(Op::CombPacked {
-                        kind,
-                        pass,
-                        block,
-                        instance,
-                        gather,
-                        scatter,
-                    });
-                } else if rest.starts_with("comb ") {
+                if rest.starts_with("comb ") {
                     let pass = num(&field(rest, "p")?)?;
                     let gather = parse_gather(&mut prog, rest)?;
                     let scatter = parse_scatter(&mut prog, rest)?;
@@ -963,14 +791,6 @@ impl CompiledProgram {
                         gather,
                         scatter,
                     });
-                } else if rest.starts_with("update_packed ") {
-                    let gather = parse_gather(&mut prog, rest)?;
-                    prog.ops.push(Op::UpdatePacked {
-                        kind,
-                        block,
-                        instance,
-                        gather,
-                    });
                 } else if rest.starts_with("update ") {
                     let gather = parse_gather(&mut prog, rest)?;
                     prog.ops.push(Op::Update {
@@ -978,16 +798,6 @@ impl CompiledProgram {
                         block,
                         instance,
                         gather,
-                    });
-                } else if rest.starts_with("eval_full ") {
-                    let gather = parse_gather(&mut prog, rest)?;
-                    let scatter = parse_scatter(&mut prog, rest)?;
-                    prog.ops.push(Op::EvalFull {
-                        kind,
-                        block,
-                        instance,
-                        gather,
-                        scatter,
                     });
                 } else {
                     return Err(format!("unknown op `{rest}`"));
@@ -1367,7 +1177,7 @@ fn scatter_moves(moves: &[ScatterMove], out_buf: &[u64], words: &mut [u64], gate
 /// whose [`CompiledExec::update`] reports nothing to do ([`Wake`]) is
 /// put to sleep and all its ops are skipped until one of its input
 /// links is written with a different word or its wake-up cycle comes;
-/// with no block awake, [`try_run`](Self::try_run) advances time
+/// with no block awake, [`run`](Self::run) advances time
 /// arithmetically. Results, snapshots and [`DeltaStats`] are those of
 /// evaluating every op every cycle; [`gating_stats`](Self::gating_stats)
 /// reports what was skipped. Debug builds re-execute every skipped op
@@ -1375,19 +1185,16 @@ fn scatter_moves(moves: &[ScatterMove], out_buf: &[u64], words: &mut [u64], gate
 pub struct CompiledEngine {
     spec: SystemSpec,
     prog: CompiledProgram,
-    /// One exec per kind (None = packed fallback).
-    execs: Vec<Option<Box<dyn CompiledExec>>>,
+    /// One exec per kind.
+    execs: Vec<Box<dyn CompiledExec>>,
     arena: Arena,
     side: SideMem,
     /// Per block: decoded exec state is newer than the arena words.
     dirty: Vec<bool>,
     in_buf: Vec<u64>,
     out_buf: Vec<u64>,
-    /// Next-state scratch for packed comb passes (discarded).
-    scratch: Vec<u64>,
     cycle: u64,
     stats: DeltaStats,
-    broken: Option<SimError>,
     profiler: Option<Box<KernelProfiler>>,
     gate: Gate,
 }
@@ -1396,7 +1203,8 @@ impl CompiledEngine {
     /// Compile `spec` with default options and build an engine.
     ///
     /// # Panics
-    /// If `spec.check()` fails.
+    /// If `spec.check()` fails, or [`CompiledProgram::compile`] refuses
+    /// the spec.
     pub fn new(spec: SystemSpec) -> CompiledEngine {
         Self::with_options(spec, &CompileOptions::default())
     }
@@ -1404,19 +1212,22 @@ impl CompiledEngine {
     /// Compile `spec` with `opts` and build an engine.
     ///
     /// # Panics
-    /// If `spec.check()` fails.
+    /// If `spec.check()` fails, or [`CompiledProgram::compile`] refuses
+    /// the spec.
     pub fn with_options(spec: SystemSpec, opts: &CompileOptions) -> CompiledEngine {
         if let Err(diags) = spec.check() {
             panic!("invalid spec: {diags:?}");
         }
         let prog = CompiledProgram::compile(&spec, opts);
-        let execs: Vec<Option<Box<dyn CompiledExec>>> =
-            if matches!(prog.mode, ProgramMode::FixedPoint { .. }) {
-                // Fixed-point mode always uses packed full evaluation.
-                spec.kinds().iter().map(|_| None).collect()
-            } else {
-                spec.kinds().iter().map(|k| k.compile()).collect()
-            };
+        let execs: Vec<Box<dyn CompiledExec>> = spec
+            .kinds()
+            .iter()
+            .map(|k| {
+                k.compile().unwrap_or_else(|| {
+                    unreachable!("CompiledProgram::compile accepted kind `{}`", k.name())
+                })
+            })
+            .collect();
         let mut arena = Arena::new_sliced(&spec, &prog.slices);
         for (b, inst) in spec.blocks().iter().enumerate() {
             spec.kinds()[inst.kind].reset(arena.cur_mut(b));
@@ -1434,23 +1245,15 @@ impl CompiledEngine {
             .map(|b| b.inputs.len().max(b.outputs.len()))
             .max()
             .unwrap_or(0);
-        let max_words = spec
-            .blocks()
-            .iter()
-            .map(|b| words_for_bits(spec.kinds()[b.kind].state_bits()))
-            .max()
-            .unwrap_or(0);
         let mut eng = CompiledEngine {
             dirty: vec![false; spec.blocks().len()],
             in_buf: vec![0; max_ports],
             out_buf: vec![0; max_ports],
-            scratch: vec![0; max_words],
             execs,
             arena,
             side,
             cycle: 0,
             stats: DeltaStats::default(),
-            broken: None,
             profiler: None,
             gate: Gate::new(&spec, &prog),
             prog,
@@ -1466,9 +1269,7 @@ impl CompiledEngine {
     /// between the two and sets every `dirty` flag again.
     fn load_execs(&mut self) {
         for (b, inst) in self.spec.blocks().iter().enumerate() {
-            if let Some(exec) = self.execs[inst.kind].as_mut() {
-                exec.load(inst.instance_of_kind, self.arena.cur(b));
-            }
+            self.execs[inst.kind].load(inst.instance_of_kind, self.arena.cur(b));
             self.dirty[b] = false;
         }
         self.gate.wake_all();
@@ -1487,11 +1288,6 @@ impl CompiledEngine {
     /// Current system cycle (number of completed cycles).
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// The sticky error, if the engine diverged.
-    pub fn error(&self) -> Option<&SimError> {
-        self.broken.as_ref()
     }
 
     /// Current value of link `l` (sliced links are reassembled from
@@ -1524,10 +1320,10 @@ impl CompiledEngine {
         }
     }
 
-    /// The specialized exec of kind `kind`, if it has one (host-side
-    /// borrow of decoded state via [`CompiledExec::as_any`]).
-    pub fn exec(&self, kind: usize) -> Option<&dyn CompiledExec> {
-        self.execs[kind].as_deref()
+    /// The specialized exec of kind `kind` (host-side borrow of decoded
+    /// state via [`CompiledExec::as_any`]).
+    pub fn exec(&self, kind: usize) -> &dyn CompiledExec {
+        self.execs[kind].as_ref()
     }
 
     /// Packed current-state words of block `b` (packs decoded exec
@@ -1535,17 +1331,15 @@ impl CompiledEngine {
     pub fn peek_state(&self, b: usize) -> Vec<u64> {
         let inst = &self.spec.blocks()[b];
         if self.dirty[b] {
-            if let Some(exec) = self.execs[inst.kind].as_ref() {
-                let mut out = vec![0u64; self.arena.state_len[b]];
-                exec.store(inst.instance_of_kind, &mut out);
-                return out;
-            }
+            let mut out = vec![0u64; self.arena.state_len[b]];
+            self.execs[inst.kind].store(inst.instance_of_kind, &mut out);
+            return out;
         }
         self.arena.cur(b).to_vec()
     }
 
-    /// Delta statistics (updates count one delta per block per cycle;
-    /// fixed-point passes beyond the first count as re-evaluations).
+    /// Delta statistics: one delta per block per cycle, asleep or not,
+    /// and never a re-evaluation.
     pub fn stats(&self) -> &DeltaStats {
         &self.stats
     }
@@ -1594,9 +1388,7 @@ impl CompiledEngine {
         let mut arena = self.arena.clone();
         for (b, inst) in self.spec.blocks().iter().enumerate() {
             if self.dirty[b] {
-                if let Some(exec) = self.execs[inst.kind].as_ref() {
-                    exec.store(inst.instance_of_kind, arena.cur_mut(b));
-                }
+                self.execs[inst.kind].store(inst.instance_of_kind, arena.cur_mut(b));
             }
         }
         CompiledSnapshot {
@@ -1613,69 +1405,29 @@ impl CompiledEngine {
         self.side = snap.side.clone();
         self.cycle = snap.cycle;
         self.stats = snap.stats.clone();
-        self.broken = None;
         self.load_execs();
     }
 
     /// Advance one system cycle.
-    ///
-    /// # Panics
-    /// On a sticky error (use [`try_step`](Self::try_step)).
     pub fn step(&mut self) {
-        if let Err(e) = self.try_step() {
-            panic!("{e}");
-        }
-    }
-
-    /// Advance one system cycle, surfacing divergence as an error
-    /// (sticky: further calls keep failing).
-    pub fn try_step(&mut self) -> Result<(), SimError> {
-        if let Some(e) = &self.broken {
-            return Err(e.clone());
-        }
         if let Some(p) = self.profiler.as_mut() {
             p.begin_cycle();
         }
-        let deltas = match self.prog.mode {
-            ProgramMode::StraightLine { .. } => {
-                self.run_straight(self.cycle);
-                self.straight_deltas()
-            }
-            ProgramMode::FixedPoint { max_passes } => {
-                let passes = match self.run_fixed_point(max_passes) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        self.broken = Some(e.clone());
-                        return Err(e);
-                    }
-                };
-                passes as u64 * self.prog.ops.len() as u64
-            }
-        };
+        self.run_straight(self.cycle);
         self.arena.swap();
-        self.stats.record_cycle(deltas, self.prog.n_blocks as u64);
+        self.stats
+            .record_cycle(self.straight_deltas(), self.prog.n_blocks as u64);
         if let Some(p) = self.profiler.as_mut() {
             p.end_cycle();
         }
         self.cycle += 1;
-        Ok(())
     }
 
-    /// Run `n` system cycles.
-    ///
-    /// # Panics
-    /// On a sticky error (use [`try_run`](Self::try_run)).
+    /// Run `n` system cycles. Stretches in which no block is awake are
+    /// not walked: time jumps to the first timed wake-up (or the end of
+    /// the run), with the same [`DeltaStats`], `cycle()` and state as
+    /// stepping through them.
     pub fn run(&mut self, n: u64) {
-        if let Err(e) = self.try_run(n) {
-            panic!("{e}");
-        }
-    }
-
-    /// Run `n` system cycles, stopping at the first error. Stretches in
-    /// which no block is awake are not walked: time jumps to the first
-    /// timed wake-up (or the end of the run), with the same
-    /// [`DeltaStats`], `cycle()` and state as stepping through them.
-    pub fn try_run(&mut self, n: u64) -> Result<(), SimError> {
         let end = self.cycle.saturating_add(n);
         while self.cycle < end {
             // A profiler is owed `begin_cycle`/`end_cycle` per simulated
@@ -1687,9 +1439,8 @@ impl CompiledEngine {
                     continue;
                 }
             }
-            self.try_step()?;
+            self.step();
         }
-        Ok(())
     }
 
     /// Deltas one straight-line cycle costs the FPGA: one per update op,
@@ -1698,8 +1449,8 @@ impl CompiledEngine {
         (self.prog.ops.len() - self.prog.update_start) as u64
     }
 
-    /// Advance `k` cycles in which every block sleeps (so the program is
-    /// straight-line and no wake-up falls inside them).
+    /// Advance `k` cycles in which every block sleeps (so no wake-up
+    /// falls inside them).
     fn fast_forward(&mut self, k: u64) {
         if cfg!(debug_assertions) {
             // Nothing is awake, so the walk only re-executes and asserts.
@@ -1759,10 +1510,7 @@ impl CompiledEngine {
                         &self.arena.words,
                         &mut self.in_buf,
                     );
-                    let Some(exec) = self.execs[kind as usize].as_mut() else {
-                        unreachable!("comb op for kind {kind} without exec");
-                    };
-                    exec.comb(
+                    self.execs[kind as usize].comb(
                         instance as usize,
                         pass as usize,
                         &self.in_buf,
@@ -1788,43 +1536,6 @@ impl CompiledEngine {
                         p.end_op(block as usize, t0);
                     }
                 }
-                Op::CombPacked {
-                    kind,
-                    block,
-                    instance,
-                    gather,
-                    scatter,
-                    ..
-                } => {
-                    let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                    gather_moves(
-                        &self.prog.gathers[gather.as_range()],
-                        &self.arena.words,
-                        &mut self.in_buf,
-                    );
-                    let b = block as usize;
-                    let n_in = self.spec.blocks()[b].inputs.len();
-                    let n_out = self.spec.blocks()[b].outputs.len();
-                    let sw = self.arena.state_len[b];
-                    self.spec.kinds()[kind as usize].eval(
-                        instance as usize,
-                        self.arena.cur(b),
-                        &self.in_buf[..n_in],
-                        cycle,
-                        &mut self.scratch[..sw],
-                        &mut self.out_buf[..n_out],
-                        &mut self.side.view(b),
-                    );
-                    scatter_moves(
-                        &self.prog.scatters[scatter.as_range()],
-                        &self.out_buf,
-                        &mut self.arena.words,
-                        &mut self.gate,
-                    );
-                    if let Some(p) = self.profiler.as_mut() {
-                        p.end_op(b, t0);
-                    }
-                }
                 Op::Update {
                     kind,
                     block,
@@ -1837,10 +1548,7 @@ impl CompiledEngine {
                         &self.arena.words,
                         &mut self.in_buf,
                     );
-                    let Some(exec) = self.execs[kind as usize].as_mut() else {
-                        unreachable!("update op for kind {kind} without exec");
-                    };
-                    let wake = exec.update(
+                    let wake = self.execs[kind as usize].update(
                         instance as usize,
                         &self.in_buf,
                         cycle,
@@ -1864,127 +1572,10 @@ impl CompiledEngine {
                         p.end_eval(block as usize, false, t0);
                     }
                 }
-                Op::UpdatePacked {
-                    kind,
-                    block,
-                    instance,
-                    gather,
-                } => {
-                    let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                    gather_moves(
-                        &self.prog.gathers[gather.as_range()],
-                        &self.arena.words,
-                        &mut self.in_buf,
-                    );
-                    let b = block as usize;
-                    let n_in = self.spec.blocks()[b].inputs.len();
-                    let n_out = self.spec.blocks()[b].outputs.len();
-                    // Split borrows: out_buf/in_buf/side are separate
-                    // fields from arena; kinds/spec are read-only.
-                    let CompiledEngine {
-                        spec,
-                        arena,
-                        in_buf,
-                        out_buf,
-                        side,
-                        ..
-                    } = self;
-                    let (cur, next) = arena.cur_and_next_mut(b);
-                    spec.kinds()[kind as usize].eval(
-                        instance as usize,
-                        cur,
-                        &in_buf[..n_in],
-                        cycle,
-                        next,
-                        &mut out_buf[..n_out],
-                        &mut side.view(b),
-                    );
-                    if let Some(p) = self.profiler.as_mut() {
-                        p.end_eval(b, false, t0);
-                    }
-                }
-                Op::EvalFull { .. } => {
-                    unreachable!("eval_full op in straight-line program");
-                }
             }
         }
         self.gate.stats.ops_skipped += skipped;
         self.gate.stats.ops_executed += self.prog.ops.len() as u64 - skipped;
-    }
-
-    /// The fixed-point interpreter (cyclic comb graphs): full packed
-    /// passes until no link changes, bounded by `max_passes`.
-    fn run_fixed_point(&mut self, max_passes: u32) -> Result<u32, SimError> {
-        let cycle = self.cycle;
-        let mut passes = 0u32;
-        loop {
-            let mut unstable: Vec<usize> = Vec::new();
-            for idx in 0..self.prog.ops.len() {
-                let Op::EvalFull {
-                    kind,
-                    block,
-                    instance,
-                    gather,
-                    scatter,
-                } = self.prog.ops[idx]
-                else {
-                    unreachable!("non-eval_full op in fixed-point program");
-                };
-                let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                gather_moves(
-                    &self.prog.gathers[gather.as_range()],
-                    &self.arena.words,
-                    &mut self.in_buf,
-                );
-                let b = block as usize;
-                let n_in = self.spec.blocks()[b].inputs.len();
-                let n_out = self.spec.blocks()[b].outputs.len();
-                let CompiledEngine {
-                    spec,
-                    arena,
-                    in_buf,
-                    out_buf,
-                    side,
-                    ..
-                } = self;
-                let (cur, next) = arena.cur_and_next_mut(b);
-                spec.kinds()[kind as usize].eval(
-                    instance as usize,
-                    cur,
-                    &in_buf[..n_in],
-                    cycle,
-                    next,
-                    &mut out_buf[..n_out],
-                    &mut side.view(b),
-                );
-                let mut changed = false;
-                for m in &self.prog.scatters[scatter.as_range()] {
-                    let v = (self.out_buf[m.port as usize] >> m.shift) & m.mask;
-                    if self.arena.words[m.link as usize] != v {
-                        self.arena.words[m.link as usize] = v;
-                        changed = true;
-                    }
-                }
-                if changed {
-                    unstable.push(b);
-                }
-                if let Some(p) = self.profiler.as_mut() {
-                    p.end_eval(b, passes > 0, t0);
-                }
-            }
-            passes += 1;
-            if unstable.is_empty() {
-                return Ok(passes);
-            }
-            if passes >= max_passes {
-                return Err(SimError::Diverged {
-                    cycle,
-                    budget: max_passes * self.prog.ops.len() as u32,
-                    unstable_blocks: unstable,
-                    last_trace: Vec::new(),
-                });
-            }
-        }
     }
 }
 
@@ -1992,7 +1583,7 @@ impl std::fmt::Debug for CompiledEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledEngine")
             .field("cycle", &self.cycle)
-            .field("mode", &self.prog.mode)
+            .field("levels", &self.prog.levels)
             .field("ops", &self.prog.ops.len())
             .finish()
     }
@@ -2002,7 +1593,7 @@ impl std::fmt::Debug for CompiledEngine {
 mod tests {
     use super::*;
     use crate::block::BlockKind;
-    use crate::demo::{comb_demo, comb_demo_reference, RegisteredDemoKind, DEMO_WIDTH};
+    use crate::demo::{comb_demo, DEMO_WIDTH};
     use crate::dynamic_sched::DynamicEngine;
     use noc_types::bits::BitReader;
 
@@ -2010,142 +1601,13 @@ mod tests {
         BitReader::new(words).take(DEMO_WIDTH)
     }
 
-    #[test]
-    fn comb_chain_compiles_to_levelled_straight_line() {
-        // ext -> F -> F -> F -> sink: three comb levels, settled in one
-        // pass each, no fixed point anywhere.
-        let mut spec = SystemSpec::new();
-        let k = spec.add_kind(Box::new(RegisteredDemoKind::new(0)));
-        let b1 = spec.add_block(k);
-        let b2 = spec.add_block(k);
-        let b3 = spec.add_block(k);
-        spec.external((b1, 0), 2);
-        spec.wire((b1, 0), (b2, 0));
-        spec.wire((b2, 0), (b3, 0));
-        let out = spec.sink((b3, 0));
-        let mut eng = CompiledEngine::new(spec);
-        match eng.program().mode {
-            ProgramMode::StraightLine { levels } => assert_eq!(levels, 3),
-            m => panic!("expected straight-line, got {m:?}"),
-        }
-        eng.step();
-        let f = |x: u64| (x * 3 + 1) & 0xFFFF;
-        assert_eq!(eng.link_value(out), f(f(f(2))));
-    }
+    /// A two-block comb ring (`x -> x | 1` feedback): cyclic at the port
+    /// level, and its kind ships no exec either.
+    struct OrKind;
 
-    #[test]
-    fn comb_demo_matches_reference_and_dynamic_engine() {
-        for cycles in [1u64, 2, 3, 25] {
-            let (spec, _) = comb_demo();
-            let mut eng = CompiledEngine::new(spec);
-            // The demo ring is signal-acyclic: B0's registered output
-            // breaks it, so the compiler must prove straight-line.
-            assert!(matches!(
-                eng.program().mode,
-                ProgramMode::StraightLine { .. }
-            ));
-            eng.run(cycles);
-            let expect = comb_demo_reference(cycles);
-            let got = [
-                state16(&eng.peek_state(0)),
-                state16(&eng.peek_state(1)),
-                state16(&eng.peek_state(2)),
-            ];
-            assert_eq!(got, expect, "after {cycles} cycles");
-
-            let (spec, _) = comb_demo();
-            let mut dy = DynamicEngine::new(spec);
-            dy.run(cycles);
-            for b in 0..3 {
-                assert_eq!(eng.peek_state(b), dy.peek_state(b).to_vec());
-            }
-        }
-    }
-
-    #[test]
-    fn straight_line_needs_minimum_deltas_only() {
-        let (spec, _) = comb_demo();
-        let mut eng = CompiledEngine::new(spec);
-        eng.run(40);
-        assert_eq!(eng.stats().system_cycles, 40);
-        assert_eq!(eng.stats().delta_cycles, 40 * 3, "one update per block");
-        assert_eq!(eng.stats().re_evaluations, 0, "HBR fully elided");
-    }
-
-    #[test]
-    fn order_is_irrelevant_in_straight_line_mode() {
-        let mut results = Vec::new();
-        for order in [vec![0usize, 1, 2], vec![2, 1, 0], vec![1, 2, 0]] {
-            let (spec, _) = comb_demo();
-            let mut eng = CompiledEngine::with_options(
-                spec,
-                &CompileOptions {
-                    order: Some(order),
-                    ..CompileOptions::default()
-                },
-            );
-            eng.run(25);
-            results.push([
-                state16(&eng.peek_state(0)),
-                state16(&eng.peek_state(1)),
-                state16(&eng.peek_state(2)),
-            ]);
-        }
-        assert!(results.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_bit_identically() {
-        let (spec, _) = comb_demo();
-        let mut eng = CompiledEngine::new(spec);
-        eng.run(13);
-        let snap = eng.snapshot();
-        eng.run(29);
-        let tail: Vec<Vec<u64>> = (0..3).map(|b| eng.peek_state(b)).collect();
-        eng.restore(&snap);
-        assert_eq!(eng.cycle(), 13);
-        eng.run(29);
-        for b in 0..3 {
-            assert_eq!(eng.peek_state(b), tail[b], "block {b}");
-        }
-    }
-
-    #[test]
-    fn disassembly_round_trips() {
-        let (spec, _) = comb_demo();
-        let eng = CompiledEngine::new(spec);
-        let text = eng.program().disassemble();
-        let parsed = CompiledProgram::parse(&text).expect("parse");
-        assert_eq!(&parsed, eng.program());
-        // And a second render is identical.
-        assert_eq!(parsed.disassemble(), text);
-    }
-
-    #[test]
-    fn every_link_written_by_at_most_one_op() {
-        let (spec, _) = comb_demo();
-        let eng = CompiledEngine::new(spec);
-        let prog = eng.program();
-        let mut writers = vec![0u32; prog.n_links];
-        for op in &prog.ops {
-            if let Some(r) = op.scatter() {
-                for m in &prog.scatters[r.as_range()] {
-                    writers[m.link as usize] += 1;
-                }
-            }
-        }
-        assert!(writers.iter().all(|&w| w <= 1));
-    }
-
-    /// A two-block truly comb-cyclic system (a ^ b feedback) to drive
-    /// the fixed-point fallback.
-    struct XorKind {
-        converging: bool,
-    }
-
-    impl BlockKind for XorKind {
+    impl BlockKind for OrKind {
         fn name(&self) -> &str {
-            "xor"
+            "or-one"
         }
         fn state_bits(&self) -> usize {
             0
@@ -2167,72 +1629,43 @@ mod tests {
             outputs: &mut [u64],
             _side: &mut SideView<'_>,
         ) {
-            // Converging: settles to a fixed point (x -> x | 1).
-            // Diverging: oscillates forever (x -> !x).
-            outputs[0] = if self.converging {
-                inputs[0] | 1
-            } else {
-                !inputs[0] & 0xFF
-            };
+            outputs[0] = inputs[0] | 1;
         }
         // CombInputs::All by default: a comb cycle through both blocks.
     }
 
-    /// `n`-block comb ring (cyclic at every length; an odd inverter
-    /// ring has no fixed point).
-    fn comb_ring(n: usize, converging: bool) -> SystemSpec {
+    fn comb_ring() -> SystemSpec {
         let mut spec = SystemSpec::new();
-        let k = spec.add_kind(Box::new(XorKind { converging }));
-        let blocks: Vec<usize> = (0..n).map(|_| spec.add_block(k)).collect();
-        for i in 0..n {
-            spec.wire((blocks[i], 0), (blocks[(i + 1) % n], 0));
-        }
+        let k = spec.add_kind(Box::new(OrKind));
+        let a = spec.add_block(k);
+        let b = spec.add_block(k);
+        spec.wire((a, 0), (b, 0));
+        spec.wire((b, 0), (a, 0));
         spec
     }
 
     #[test]
-    fn cyclic_spec_falls_back_to_fixed_point() {
-        let mut eng = CompiledEngine::new(comb_ring(2, true));
-        assert!(matches!(eng.program().mode, ProgramMode::FixedPoint { .. }));
-        eng.try_run(5).expect("converging ring settles");
-        assert!(eng.stats().delta_cycles >= 5 * 2);
+    #[should_panic(expected = "combinational cycle through links [0, 1]")]
+    fn cyclic_spec_is_refused() {
+        CompiledEngine::new(comb_ring());
     }
 
     #[test]
-    fn fixed_point_divergence_is_a_typed_sticky_error() {
-        let mut eng = CompiledEngine::new(comb_ring(1, false));
-        let err = eng.try_step().expect_err("oscillator cannot settle");
-        match &err {
-            SimError::Diverged {
-                cycle,
-                unstable_blocks,
-                ..
-            } => {
-                assert_eq!(*cycle, 0);
-                assert!(!unstable_blocks.is_empty());
-            }
-            e => panic!("expected Diverged, got {e:?}"),
-        }
-        assert_eq!(eng.try_step().expect_err("sticky"), err);
+    #[should_panic(expected = "kind `FG-registered` has no CompiledExec")]
+    fn kind_without_exec_is_refused() {
+        CompiledEngine::new(comb_demo().0);
     }
 
     #[test]
-    fn profiler_attributes_ops_to_blocks() {
-        let (spec, _) = comb_demo();
-        let n = spec.blocks().len();
-        let mut eng = CompiledEngine::new(spec);
-        eng.attach_profiler(KernelProfiler::new(n, 1));
-        eng.run(10);
-        let report = eng
-            .take_profiler()
-            .expect("attached")
-            .report("seqsim-compiled", 0.0);
-        assert_eq!(report.cycles, 10);
-        for e in &report.entries {
-            assert_eq!(e.evals, 10, "one update per block per cycle");
-            assert_eq!(e.hbr_retries, 0);
-            assert!(e.self_ns > 0, "comb op time folded into block self time");
-        }
+    #[should_panic(expected = "block 0 is listed 2 times")]
+    fn order_must_be_a_permutation() {
+        CompiledEngine::with_options(
+            follow_chain().0,
+            &CompileOptions {
+                order: Some(vec![0, 0, 2]),
+                ..CompileOptions::default()
+            },
+        );
     }
 
     /// Toy kind with a specialized exec: a 16-bit accumulator whose
@@ -2312,18 +1745,18 @@ mod tests {
         fn comb(
             &mut self,
             instance: usize,
-            pass: usize,
+            _pass: usize,
             inputs: &[u64],
             _cycle: u64,
             outputs: &mut [u64],
             _side: &mut SideView<'_>,
         ) {
+            // Both ports on every pass: the engine scatters only the
+            // ports of the op's level, and `inputs` may be stale on a
+            // pass that gathers nothing.
             let s = self.s[instance];
-            if pass == 0 {
-                outputs[0] = s;
-            } else {
-                outputs[1] = (s + inputs[0]) & 0xFFFF;
-            }
+            outputs[0] = s;
+            outputs[1] = s.wrapping_add(inputs[0]) & 0xFFFF;
         }
         fn update(
             &mut self,
@@ -2356,6 +1789,118 @@ mod tests {
         spec.sink((a, 1));
         spec.sink((b, 1));
         spec
+    }
+
+    /// ext -> A0 -> A1 -> A2 through the accumulators' comb sum ports:
+    /// three comb levels. Returns the spec and the chain's output link.
+    fn acc_chain() -> (SystemSpec, usize) {
+        let mut spec = SystemSpec::new();
+        let k = spec.add_kind(Box::new(AccKind { lies: false }));
+        let b: Vec<usize> = (0..3).map(|_| spec.add_block(k)).collect();
+        spec.external((b[0], 0), 2);
+        spec.wire((b[0], 1), (b[1], 0));
+        spec.wire((b[1], 1), (b[2], 0));
+        let out = spec.sink((b[2], 1));
+        for &x in &b {
+            spec.sink((x, 0));
+        }
+        (spec, out)
+    }
+
+    fn acc_states(eng: &CompiledEngine) -> Vec<Vec<u64>> {
+        (0..3).map(|b| eng.peek_state(b)).collect()
+    }
+
+    #[test]
+    fn comb_chain_compiles_to_levelled_straight_line() {
+        let (spec, out) = acc_chain();
+        let mut eng = CompiledEngine::new(spec);
+        assert_eq!(eng.program().levels, 3);
+        eng.step();
+        // Every accumulator resets to 1 and adds its input: 1 + 2 feeds
+        // 1 + 3 feeds 1 + 4, all settled in the first cycle.
+        assert_eq!(eng.link_value(out), 5);
+    }
+
+    #[test]
+    fn straight_line_needs_minimum_deltas_only() {
+        let mut eng = CompiledEngine::new(acc_chain().0);
+        eng.run(40);
+        assert_eq!(eng.stats().system_cycles, 40);
+        assert_eq!(eng.stats().delta_cycles, 40 * 3, "one update per block");
+        assert_eq!(eng.stats().re_evaluations, 0, "HBR fully elided");
+    }
+
+    #[test]
+    fn order_is_irrelevant_in_straight_line_mode() {
+        let mut results = Vec::new();
+        for order in [vec![0usize, 1, 2], vec![2, 1, 0], vec![1, 2, 0]] {
+            let mut eng = CompiledEngine::with_options(
+                acc_chain().0,
+                &CompileOptions {
+                    order: Some(order),
+                    ..CompileOptions::default()
+                },
+            );
+            eng.run(25);
+            results.push(acc_states(&eng));
+        }
+        assert!(results.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn snapshot_restore_resumes_bit_identically() {
+        let mut eng = CompiledEngine::new(acc_chain().0);
+        eng.run(13);
+        let snap = eng.snapshot();
+        eng.run(29);
+        let tail = acc_states(&eng);
+        eng.restore(&snap);
+        assert_eq!(eng.cycle(), 13);
+        eng.run(29);
+        assert_eq!(acc_states(&eng), tail);
+    }
+
+    #[test]
+    fn disassembly_round_trips() {
+        let eng = CompiledEngine::new(acc_chain().0);
+        let text = eng.program().disassemble();
+        let parsed = CompiledProgram::parse(&text).expect("parse");
+        assert_eq!(&parsed, eng.program());
+        // And a second render is identical.
+        assert_eq!(parsed.disassemble(), text);
+    }
+
+    #[test]
+    fn every_link_written_by_at_most_one_op() {
+        let eng = CompiledEngine::new(acc_chain().0);
+        let prog = eng.program();
+        let mut writers = vec![0u32; prog.n_links];
+        for op in &prog.ops {
+            if let Some(r) = op.scatter() {
+                for m in &prog.scatters[r.as_range()] {
+                    writers[m.link as usize] += 1;
+                }
+            }
+        }
+        assert!(writers.iter().all(|&w| w <= 1));
+    }
+
+    #[test]
+    fn profiler_attributes_ops_to_blocks() {
+        let mut eng = CompiledEngine::new(acc_chain().0);
+        eng.attach_profiler(KernelProfiler::new(3, 1));
+        eng.run(10);
+        let report = eng
+            .take_profiler()
+            .expect("attached")
+            .report("seqsim-compiled", 0.0);
+        assert_eq!(report.cycles, 10);
+        for e in &report.entries {
+            assert_eq!(e.evals, 10, "one update per block per cycle");
+            assert_eq!(e.hbr_retries, 0);
+            assert!(e.self_ns > 0, "comb op time folded into block self time");
+        }
     }
 
     #[test]
@@ -2517,8 +2062,8 @@ mod tests {
 
     #[test]
     fn gated_walk_is_invisible_and_reports_its_skips() {
-        // Three drivers of the same schedule: `try_run` in chunks (may
-        // fast-forward), `try_step` every cycle, and the interpreting
+        // Three drivers of the same schedule: `run` in chunks (may
+        // fast-forward), `step` every cycle, and the interpreting
         // engine as the ungated reference. A value is poked in before
         // the hold ends (timed wake) and another long after (input
         // wake rippling down the chain of sleepers).
@@ -2529,9 +2074,9 @@ mod tests {
         let mut dy = DynamicEngine::new(follow_chain().0);
         let mut at = 0u64;
         for (when, v) in pokes.into_iter().chain([(200, 0)]) {
-            run.try_run(when - at).expect("straight-line");
+            run.run(when - at);
             for _ in at..when {
-                step.try_step().expect("straight-line");
+                step.step();
                 dy.step();
             }
             at = when;
@@ -2617,7 +2162,7 @@ mod tests {
         let (spec, _) = follow_chain();
         let mut eng = CompiledEngine::new(spec);
         eng.attach_profiler(KernelProfiler::new(3, 1));
-        eng.try_run(50).expect("straight-line");
+        eng.run(50);
         assert_eq!(eng.gating_stats().fast_forwarded_cycles, 0);
         let report = eng
             .take_profiler()
@@ -2635,11 +2180,11 @@ mod tests {
 
     #[test]
     fn sliced_program_is_bit_identical_and_round_trips() {
-        // Slice every block-driven multi-bit link of the comb demo:
-        // slicing is semantics-preserving regardless of what bitflow
-        // would prove, so the sliced engine must match the plain one
-        // bit for bit on every link, state word and delta count.
-        let (spec, _) = comb_demo();
+        // Slice every block-driven multi-bit link of the chain: slicing
+        // is semantics-preserving by construction, so the sliced engine
+        // must match the plain one bit for bit on every link, state word
+        // and delta count.
+        let (spec, _) = acc_chain();
         let all: Vec<usize> = spec
             .links()
             .iter()
@@ -2652,11 +2197,9 @@ mod tests {
             slice: SlicePlan { links: all },
             ..CompileOptions::default()
         };
-        let (spec2, _) = comb_demo();
-        let mut sliced = CompiledEngine::with_options(spec2, &opts);
+        let mut sliced = CompiledEngine::with_options(spec, &opts);
         assert!(!sliced.program().slices.is_empty());
-        let (spec3, _) = comb_demo();
-        let mut plain = CompiledEngine::new(spec3);
+        let mut plain = CompiledEngine::new(acc_chain().0);
         for cycle in 1..=25u64 {
             sliced.step();
             plain.step();
@@ -2697,15 +2240,16 @@ mod tests {
     #[test]
     fn set_external_drives_links() {
         let mut spec = SystemSpec::new();
-        let k = spec.add_kind(Box::new(crate::demo::RegisteredDemoKind::new(0)));
+        let k = spec.add_kind(Box::new(AccKind { lies: false }));
         let b = spec.add_block(k);
         let ext = spec.external((b, 0), 3);
-        let out = spec.sink((b, 0));
+        spec.sink((b, 0));
+        let out = spec.sink((b, 1));
         let mut eng = CompiledEngine::new(spec);
         eng.step();
-        assert_eq!(eng.link_value(out), (3 * 3 + 1) & 0xFFFF);
+        assert_eq!(eng.link_value(out), 1 + 3);
         eng.set_external(ext, 10);
         eng.step();
-        assert_eq!(eng.link_value(out), 31);
+        assert_eq!(eng.link_value(out), 4 + 10);
     }
 }

@@ -14,7 +14,7 @@
 //!   [`DynamicEngine`](crate::dynamic_sched::DynamicEngine) it reproduces
 //!   the dynamic (HBR) schedule with re-evaluations of Fig 5.
 
-use crate::block::{BitExpr, BitSemantics, BlockKind, CombInputs, SystemSpec};
+use crate::block::{BlockKind, CombInputs, SystemSpec};
 use crate::side::SideView;
 use noc_types::bits::{BitReader, BitWriter};
 
@@ -208,111 +208,6 @@ impl BlockKind for CombDemoKind {
     }
 }
 
-/// The boolean operation of a [`GateKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateOp {
-    /// `out = a & b` (two inputs).
-    And,
-    /// `out = a | b` (two inputs).
-    Or,
-    /// `out = a ^ b` (two inputs).
-    Xor,
-    /// `out = !a` (one input).
-    Not,
-    /// `out = a` (one input).
-    Buf,
-}
-
-/// A stateless width-1 combinational gate with *exact* declared bit
-/// semantics ([`BlockKind::bit_semantics`]).
-///
-/// These are the demo counterpart of the router's control-plane bits:
-/// small enough that the `speccheck` bitflow pass can fold them
-/// completely (constant propagation through gate networks), and the
-/// bitflow soundness property suite uses random gate networks to
-/// cross-check abstract claims against concrete engine runs.
-///
-/// `eval` leaves the output word unmasked (e.g. `!a` sets all 64
-/// bits): the engines mask on scatter.
-#[derive(Debug, Clone)]
-pub struct GateKind {
-    op: GateOp,
-}
-
-impl GateKind {
-    /// A gate computing `op`.
-    pub fn new(op: GateOp) -> Self {
-        Self { op }
-    }
-
-    /// The gate's operation.
-    pub fn op(&self) -> GateOp {
-        self.op
-    }
-}
-
-impl BlockKind for GateKind {
-    fn name(&self) -> &str {
-        match self.op {
-            GateOp::And => "gate-and",
-            GateOp::Or => "gate-or",
-            GateOp::Xor => "gate-xor",
-            GateOp::Not => "gate-not",
-            GateOp::Buf => "gate-buf",
-        }
-    }
-
-    fn state_bits(&self) -> usize {
-        0
-    }
-
-    fn input_widths(&self) -> Vec<usize> {
-        match self.op {
-            GateOp::Not | GateOp::Buf => vec![1],
-            _ => vec![1, 1],
-        }
-    }
-
-    fn output_widths(&self) -> Vec<usize> {
-        vec![1]
-    }
-
-    fn reset(&self, _state: &mut [u64]) {}
-
-    fn eval(
-        &self,
-        _instance: usize,
-        _cur: &[u64],
-        inputs: &[u64],
-        _cycle: u64,
-        _next: &mut [u64],
-        outputs: &mut [u64],
-        _side: &mut SideView<'_>,
-    ) {
-        outputs[0] = match self.op {
-            GateOp::And => inputs[0] & inputs[1],
-            GateOp::Or => inputs[0] | inputs[1],
-            GateOp::Xor => inputs[0] ^ inputs[1],
-            GateOp::Not => !inputs[0],
-            GateOp::Buf => inputs[0],
-        };
-    }
-
-    fn bit_semantics(&self, port: usize) -> Option<BitSemantics> {
-        debug_assert_eq!(port, 0);
-        let a = || Box::new(BitExpr::In { port: 0, bit: 0 });
-        let b = || Box::new(BitExpr::In { port: 1, bit: 0 });
-        let expr = match self.op {
-            GateOp::And => BitExpr::And(a(), b()),
-            GateOp::Or => BitExpr::Or(a(), b()),
-            GateOp::Xor => BitExpr::Xor(a(), b()),
-            GateOp::Not => BitExpr::Not(a()),
-            GateOp::Buf => BitExpr::In { port: 0, bit: 0 },
-        };
-        Some(BitSemantics { bits: vec![expr] })
-    }
-}
-
 /// Build the Fig 4 system: ring `B0 → B1 → B2 → B0` where `B0` has a
 /// registered output and `B1`, `B2` pass combinationally. Returns the spec
 /// and the link ids `[y0, y1, y2]` (`yi` is the output of `Bi`).
@@ -486,35 +381,6 @@ mod tests {
             assert_eq!(comb_state(&hbr, b), comb_state(&full, b));
         }
         assert!(full.stats().delta_cycles >= hbr.stats().delta_cycles);
-    }
-
-    #[test]
-    fn gate_bit_semantics_match_eval_exhaustively() {
-        use crate::side::SideMem;
-        for op in [
-            GateOp::And,
-            GateOp::Or,
-            GateOp::Xor,
-            GateOp::Not,
-            GateOp::Buf,
-        ] {
-            let k = GateKind::new(op);
-            let sem = k.bit_semantics(0).unwrap();
-            assert_eq!(sem.bits.len(), 1);
-            assert!(sem.bits[0].is_pure());
-            let n_in = k.input_widths().len();
-            let mut mem = SideMem::new(&[vec![]]);
-            for v in 0..(1u64 << n_in) {
-                let inputs: Vec<u64> = (0..n_in).map(|i| (v >> i) & 1).collect();
-                let mut out = [0u64];
-                k.eval(0, &[], &inputs, 0, &mut [], &mut out, &mut mem.view(0));
-                assert_eq!(
-                    out[0] & 1,
-                    u64::from(sem.bits[0].eval_concrete(&inputs)),
-                    "{op:?} inputs {inputs:?}"
-                );
-            }
-        }
     }
 
     #[test]

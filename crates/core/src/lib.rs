@@ -87,12 +87,11 @@ pub mod wire;
 pub mod worklist;
 
 pub use block::{
-    BitExpr, BitSemantics, BlockId, BlockInst, BlockKind, CombInputs, KindId, LinkDriver, LinkId,
-    LinkSpec, SystemSpec,
+    BlockId, BlockInst, BlockKind, CombInputs, KindId, LinkDriver, LinkId, LinkSpec, SystemSpec,
 };
 pub use compile::{
     CompileOptions, CompiledEngine, CompiledExec, CompiledProgram, CompiledSnapshot, GatingStats,
-    ProgramMode, SlicePlan, Wake,
+    SlicePlan, Wake,
 };
 pub use counters::DeltaStats;
 pub use dynamic_sched::{DynamicEngine, HybridRun, HybridSchedule, Scheduling, Snapshot};

@@ -28,7 +28,7 @@ use noc_types::fault::{FaultPlan, NodeFaults};
 use noc_types::flit::{room_from_bits, room_to_bits, LINK_FWD_BITS, LINK_ROOM_BITS};
 use noc_types::{Coord, LinkFwd, NetworkConfig, Port, NUM_PORTS, NUM_VCS};
 use seqsim::compile::{CompiledExec, Wake};
-use seqsim::{BitExpr, BitSemantics, BlockKind, CombInputs, SideView};
+use seqsim::{BlockKind, CombInputs, SideView};
 use std::sync::Arc;
 
 /// Index of the per-VC stimuli rings in the block's side memory.
@@ -195,28 +195,6 @@ impl BlockKind for RouterBlock {
             // router network is signal-acyclic).
             CombInputs::None
         }
-    }
-
-    fn bit_semantics(&self, port: usize) -> Option<BitSemantics> {
-        // The bit-level restatement of `comb_inputs`: room output bits
-        // are functions of registered state only (opaque value, no
-        // combinational input deps), forward output bits may feed
-        // through any bit of the four room inputs. Bitflow uses the
-        // dependency lists for bit-independence proofs; the values stay
-        // Unknown.
-        let deps: Vec<(usize, usize)> = if (OUT_FWD0..OUT_FWD0 + 4).contains(&port) {
-            (IN_ROOM0..IN_ROOM0 + 4)
-                .flat_map(|p| (0..LINK_ROOM_BITS).map(move |b| (p, b)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let width = self.output_widths()[port];
-        Some(BitSemantics {
-            bits: (0..width)
-                .map(|_| BitExpr::Opaque { deps: deps.clone() })
-                .collect(),
-        })
     }
 
     fn eval(

@@ -61,10 +61,6 @@ pub fn kernel_graph(k: &EventKernel, external: &[SigId]) -> SpecGraph {
                     n_out
                 ],
                 host_visible: false,
-                // The event kernel carries no per-bit process model;
-                // bitflow treats every netlist signal as opaque.
-                bit_sem: vec![None; n_out],
-                in_used: vec![None; k.proc_reads(p).len()],
             }
         })
         .collect();

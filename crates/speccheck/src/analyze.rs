@@ -393,20 +393,6 @@ pub fn analyze_graph(g: &SpecGraph, opts: &AnalyzeOptions) -> Analysis {
                  bound exists; the divergence watchdog is the only backstop"
             ),
         ));
-        // The same cycle also blocks schedule compilation: the compiled
-        // engine levels output ports with the identical dependency
-        // edges, so a link-level cycle means no straight-line program
-        // exists and `seqsim-compiled` degrades to per-cycle bounded
-        // fixed-point passes (correct, but the HBR elision is lost).
-        ds.push(Diagnostic::new(
-            Severity::Info,
-            codes::COMPILE_FALLBACK,
-            Site::System,
-            "comb graph is cyclic: the compiled engine (seqsim-compiled) cannot \
-             lower this spec to straight-line code and falls back to bounded \
-             fixed-point passes"
-                .to_string(),
-        ));
     }
 
     // ---- SCC condensation + hybrid schedule -------------------------
@@ -642,23 +628,16 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == codes::CONVERGENCE_BUDGET));
-        // The same cycle forces the compiled engine off the
-        // straight-line path — surfaced as its own (Info) lint.
-        assert!(a
-            .diagnostics
-            .iter()
-            .any(|d| d.code == codes::COMPILE_FALLBACK && d.severity == Severity::Info));
     }
 
     #[test]
-    fn acyclic_comb_graph_has_no_compile_fallback_lint() {
-        use seqsim::demo::comb_demo;
+    fn acyclic_comb_graph_has_no_convergence_budget_lint() {
         let (spec, _) = comb_demo();
         let a = analyze_spec(&spec);
         assert!(a
             .diagnostics
             .iter()
-            .all(|d| d.code != codes::COMPILE_FALLBACK));
+            .all(|d| d.code != codes::CONVERGENCE_BUDGET));
     }
 
     #[test]

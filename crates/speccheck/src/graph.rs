@@ -8,7 +8,7 @@
 //! built by other front ends (the `rtl` netlist adapter, the malformed
 //! fixtures of the diagnostic test suite) may carry any defect.
 
-use seqsim::{BitSemantics, CombInputs, SystemSpec};
+use seqsim::{CombInputs, SystemSpec};
 
 /// What kind of storage/driver a link has beyond ordinary block wiring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,12 +46,6 @@ pub struct GraphBlock {
     /// (side-memory stimuli rings); such blocks count as externally
     /// driven for the reachability check.
     pub host_visible: bool,
-    /// Declared per-bit semantics of each output port (`None` =
-    /// opaque — the bitflow pass treats every bit as `Unknown`).
-    pub bit_sem: Vec<Option<BitSemantics>>,
-    /// Per-input liveness mask of each input port (`None` = every bit
-    /// potentially read).
-    pub in_used: Vec<Option<Vec<bool>>>,
 }
 
 /// A complete block/link graph.
@@ -73,7 +67,6 @@ impl SpecGraph {
             .map(|inst| {
                 let kind = &spec.kinds()[inst.kind];
                 let n_out = inst.outputs.len();
-                let n_in = inst.inputs.len();
                 GraphBlock {
                     name: kind.name().to_string(),
                     inputs: inst
@@ -88,8 +81,6 @@ impl SpecGraph {
                         .collect(),
                     comb: (0..n_out).map(|p| kind.comb_inputs(p)).collect(),
                     host_visible: !kind.side_rings().is_empty(),
-                    bit_sem: (0..n_out).map(|p| kind.bit_semantics(p)).collect(),
-                    in_used: (0..n_in).map(|p| kind.input_bits_used(p)).collect(),
                 }
             })
             .collect();

@@ -35,14 +35,12 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analyze;
-pub mod bitflow;
 pub mod graph;
 pub mod scc;
 
 pub use analyze::{
     analyze_graph, analyze_spec, normalize_diagnostics, Analysis, AnalyzeOptions, SccInfo,
 };
-pub use bitflow::{bitflow_graph, BitValue, Bitflow, Narrowable};
 pub use graph::{GraphBlock, GraphLink, LinkClass, SpecGraph};
 pub use noc_types::diag::{codes, Diagnostic, Severity, Site};
 pub use scc::strongly_connected_components;

@@ -8,10 +8,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use seqsim::{BitExpr, BitSemantics, BlockKind, CombInputs, SideView, SystemSpec};
+use seqsim::{BlockKind, CombInputs, SideView, SystemSpec};
 use speccheck::{
-    analyze_graph, analyze_spec, bitflow_graph, codes, AnalyzeOptions, GraphBlock, GraphLink,
-    LinkClass, Severity, SpecGraph,
+    analyze_graph, analyze_spec, codes, AnalyzeOptions, GraphBlock, GraphLink, LinkClass, Severity,
+    SpecGraph,
 };
 
 /// Shorthand for a graph block.
@@ -27,27 +27,6 @@ fn block(
         outputs: outputs.to_vec(),
         comb: vec![comb; outputs.len()],
         host_visible: false,
-        bit_sem: vec![None; outputs.len()],
-        in_used: vec![None; inputs.len()],
-    }
-}
-
-/// A graph block with declared bit semantics and liveness masks.
-fn block_sem(
-    name: &str,
-    inputs: &[Option<usize>],
-    outputs: &[Option<usize>],
-    sem: Vec<Option<BitSemantics>>,
-    in_used: Vec<Option<Vec<bool>>>,
-) -> GraphBlock {
-    GraphBlock {
-        name: name.to_string(),
-        inputs: inputs.to_vec(),
-        outputs: outputs.to_vec(),
-        comb: vec![CombInputs::All; outputs.len()],
-        host_visible: false,
-        bit_sem: sem,
-        in_used,
     }
 }
 
@@ -232,99 +211,6 @@ fn cases() -> Vec<Case> {
             expect_schedule: true,
         },
         Case {
-            name: "wire bit provably stuck at 1",
-            graph: SpecGraph {
-                blocks: vec![
-                    block_sem(
-                        "w",
-                        &[Some(0)],
-                        &[Some(1)],
-                        vec![Some(BitSemantics {
-                            bits: vec![BitExpr::Const(true), BitExpr::In { port: 0, bit: 0 }],
-                        })],
-                        vec![None],
-                    ),
-                    block_sem("r", &[Some(1)], &[], vec![], vec![None]),
-                ],
-                links: vec![
-                    GraphLink {
-                        width: 2,
-                        class: LinkClass::External,
-                    },
-                    GraphLink {
-                        width: 2,
-                        class: LinkClass::Wire,
-                    },
-                ],
-            },
-            expect_codes: &[codes::CONST_BIT],
-            expect_severity: Severity::Info,
-            expect_schedule: true,
-        },
-        Case {
-            name: "wire bit masked off by its only reader",
-            graph: SpecGraph {
-                blocks: vec![
-                    block_sem(
-                        "w",
-                        &[Some(0)],
-                        &[Some(1)],
-                        vec![Some(BitSemantics {
-                            bits: vec![
-                                BitExpr::In { port: 0, bit: 0 },
-                                BitExpr::In { port: 0, bit: 1 },
-                            ],
-                        })],
-                        vec![None],
-                    ),
-                    block_sem("r", &[Some(1)], &[], vec![], vec![Some(vec![true, false])]),
-                ],
-                links: vec![
-                    GraphLink {
-                        width: 2,
-                        class: LinkClass::External,
-                    },
-                    GraphLink {
-                        width: 2,
-                        class: LinkClass::Wire,
-                    },
-                ],
-            },
-            expect_codes: &[codes::DEAD_BIT],
-            expect_severity: Severity::Info,
-            expect_schedule: true,
-        },
-        Case {
-            name: "wire with a constant top bit narrows",
-            graph: SpecGraph {
-                blocks: vec![
-                    block_sem(
-                        "w",
-                        &[Some(0)],
-                        &[Some(1)],
-                        vec![Some(BitSemantics {
-                            bits: vec![BitExpr::In { port: 0, bit: 0 }, BitExpr::Const(false)],
-                        })],
-                        vec![None],
-                    ),
-                    block_sem("r", &[Some(1)], &[], vec![], vec![None]),
-                ],
-                links: vec![
-                    GraphLink {
-                        width: 2,
-                        class: LinkClass::External,
-                    },
-                    GraphLink {
-                        width: 2,
-                        class: LinkClass::Wire,
-                    },
-                ],
-            },
-            expect_codes: &[codes::NARROWABLE_LINK, codes::CONST_BIT],
-            expect_severity: Severity::Info,
-            expect_schedule: true,
-        },
-        Case {
             name: "combinational ring has no static bound",
             graph: SpecGraph {
                 blocks: vec![
@@ -345,9 +231,7 @@ fn cases() -> Vec<Case> {
 fn every_seeded_defect_reports_its_code() {
     for case in cases() {
         let a = analyze_graph(&case.graph, &AnalyzeOptions::default());
-        // The bit-level codes come from their own pass.
-        let mut ds = a.diagnostics.clone();
-        ds.extend(bitflow_graph(&case.graph).diagnostics);
+        let ds = &a.diagnostics;
         for code in case.expect_codes {
             assert!(
                 ds.iter().any(|d| d.code == *code),

@@ -168,22 +168,9 @@ pub mod codes {
     /// A block no external/host input can reach.
     pub const UNREACHABLE_BLOCK: &str = "unreachable-block";
     /// The worst-case convergence bound of a combinational SCC exceeds
-    /// the divergence watchdog budget.
+    /// the divergence watchdog budget, or a combinational cycle leaves
+    /// it without a static bound.
     pub const CONVERGENCE_BUDGET: &str = "convergence-budget";
-    /// The port-level combinational graph is cyclic, so the compiled
-    /// engine cannot lower the spec to straight-line code and falls
-    /// back to bounded fixed-point passes.
-    pub const COMPILE_FALLBACK: &str = "compile-fallback";
-    /// A wire link bit is provably constant in every cycle (bitflow
-    /// proved it `Const0`/`Const1` from the drivers' bit semantics).
-    pub const CONST_BIT: &str = "const-bit";
-    /// A link bit no consumer ever reads (the consuming port's
-    /// `input_bits_used` mask excludes it).
-    pub const DEAD_BIT: &str = "dead-bit";
-    /// A multi-bit link whose live (non-constant, non-dead) bits fit a
-    /// narrower word than declared; the message carries the inferred
-    /// live width.
-    pub const NARROWABLE_LINK: &str = "narrowable-link";
 }
 
 #[cfg(test)]

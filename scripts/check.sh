@@ -19,9 +19,9 @@ cargo test -q
 
 echo "==> speclint (zero error-severity diagnostics on built-in topologies)"
 ./target/release/speclint --format json --out target/speclint_report.json \
-    --emit-program target/compiled_program.txt \
-    --emit-bitflow target/bitflow_report.json
+    --emit-program target/compiled_program.txt
 ! ./target/release/speclint --no-such-flag 2>/dev/null
+! ./target/release/speclint --emit-bitflow target/x.json 2>/dev/null
 
 echo "==> invariant-checker + profiler smoke (experiments --quick --check --faults --profile)"
 cargo run --release --bin experiments -- --quick --check --faults 2007 \

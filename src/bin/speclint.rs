@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --bin speclint -- \
-//!     [--format text|json] [--out FILE] \
-//!     [--emit-program FILE] [--emit-bitflow FILE]
+//!     [--format text|json] [--out FILE] [--emit-program FILE]
 //! ```
 //!
 //! `--emit-program FILE` additionally lowers the bench network (the
@@ -12,16 +11,10 @@
 //! bytecode program's disassembly to `FILE` — a reviewable CI artifact
 //! that also re-parses via `seqsim::CompiledProgram::parse`.
 //!
-//! `--emit-bitflow FILE` writes the per-target bit-level dataflow
-//! summaries (constant/dead bit counts, narrowable links, the slice
-//! plan) as a JSON array — the artifact CI uploads so bitflow
-//! regressions show up in review, not in production campaigns.
-//!
 //! Each target is analyzed before any cycle is simulated: the block/link
 //! graph is extracted, SCC-condensed, and linted (multiple writers, dead
-//! links, width overflow, combinational loops, convergence budget), and
-//! the bit-level dataflow pass runs over the same graph; its info-severity
-//! findings join the target's diagnostics. Any other argument is refused.
+//! links, width overflow, combinational loops, convergence budget). Any
+//! other argument is refused.
 //! The exit status is non-zero iff any target produces an
 //! error-severity diagnostic — CI runs this as a hard gate.
 
@@ -32,25 +25,19 @@ use noc_types::{NetworkConfig, Topology};
 use rtl_kernel::RtlNoc;
 use seqsim::demo::{comb_demo, registered_demo};
 use seqsim::systolic::SystolicArray;
-use speccheck::{
-    analyze_graph, bitflow_graph, normalize_diagnostics, Analysis, AnalyzeOptions, Bitflow,
-    Severity, SpecGraph,
-};
+use speccheck::{analyze_graph, Analysis, AnalyzeOptions, Severity, SpecGraph};
 use std::io::Write as _;
 use std::path::PathBuf;
 use vc_router::IfaceConfig;
 
-/// One analyzed target: a built-in topology, its analysis report (with
-/// the bit-level findings merged into its diagnostics) and its bitflow
-/// result.
+/// One analyzed target: a built-in topology and its analysis report.
 struct Row {
     name: String,
     analysis: Analysis,
-    bitflow: Bitflow,
 }
 
 /// The flags `speclint` accepts; each takes one value.
-const FLAGS: [&str; 4] = ["--format", "--out", "--emit-program", "--emit-bitflow"];
+const FLAGS: [&str; 3] = ["--format", "--out", "--emit-program"];
 
 /// Refuse any argument that is neither a known flag nor a known flag's
 /// value, and a known flag without its value.
@@ -123,23 +110,13 @@ fn targets() -> Vec<(String, SpecGraph)> {
     targets
 }
 
-/// Lint the built-in target set: the structural analysis and the
-/// bit-level pass, once each per target.
+/// Lint the built-in target set, once per target.
 fn all_targets() -> Vec<Row> {
     targets()
         .into_iter()
-        .map(|(name, g)| {
-            let mut analysis = analyze_graph(&g, &AnalyzeOptions::default());
-            let bitflow = bitflow_graph(&g);
-            analysis
-                .diagnostics
-                .extend(bitflow.diagnostics.iter().cloned());
-            normalize_diagnostics(&mut analysis.diagnostics);
-            Row {
-                name,
-                analysis,
-                bitflow,
-            }
+        .map(|(name, g)| Row {
+            name,
+            analysis: analyze_graph(&g, &AnalyzeOptions::default()),
         })
         .collect()
 }
@@ -248,26 +225,6 @@ fn run() -> Result<i32, SimError> {
 
     let rows = all_targets();
 
-    if let Some(path) = flag_path(&args, "--emit-bitflow")? {
-        let mut s = String::from("[\n");
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "  {{\"name\": \"{}\", \"bitflow\": {}}}{}\n",
-                r.name,
-                r.bitflow.to_json(),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("]\n");
-        std::fs::write(&path, &s)
-            .map_err(|e| SimError::Config(format!("cannot write {}: {e}", path.display())))?;
-        eprintln!(
-            "speclint: wrote bitflow summaries for {} targets to {}",
-            rows.len(),
-            path.display()
-        );
-    }
-
     let rendered = if format == "json" {
         render_json(&rows)
     } else {
@@ -349,6 +306,7 @@ mod tests {
             (&["--all-topologies"], "--all-topologies"),
             (&["--format", "json", "extra"], "extra"),
             (&["--out"], "--out"),
+            (&["--emit-bitflow", "x.json"], "--emit-bitflow"),
         ] {
             let err = check_args(&args(bad)).expect_err("refused");
             assert!(
