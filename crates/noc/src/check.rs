@@ -37,8 +37,9 @@ use simtrace::Registry;
 /// [`note_pushed`]: Self::note_pushed
 /// [`note_delivered`]: Self::note_delivered
 pub struct InvariantChecker {
-    /// Per-VC queue occupancy bound: one queue per input port.
-    queue_bound: u32,
+    /// Per-node, per-VC queue occupancy bound: one queue of the node's
+    /// own depth per input port.
+    queue_bound: Vec<u32>,
     stim_cap: usize,
     /// Whether the active fault plan contains lossy (stuck-at-idle) link
     /// faults; only then may the conservation residual be non-zero.
@@ -52,11 +53,13 @@ pub struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// Build a checker for `engine`, reading the queue depth, ring
-    /// capacity and fault plan it was constructed with.
+    /// Build a checker for `engine`, reading the per-node queue depths,
+    /// ring capacity and fault plan it was constructed with.
     pub fn new(engine: &dyn NocEngine) -> InvariantChecker {
         InvariantChecker {
-            queue_bound: (NUM_PORTS * engine.config().router.queue_depth) as u32,
+            queue_bound: (0..engine.config().num_nodes())
+                .map(|node| (NUM_PORTS * engine.queue_depth(node)) as u32)
+                .collect(),
             stim_cap: engine.stim_capacity(),
             lossy: engine.fault_plan().is_some_and(|p| p.has_stuck_idle()),
             pushed: 0,
@@ -146,8 +149,7 @@ impl InvariantChecker {
     /// conservation ledger.
     fn audit_bounds(&mut self, engine: &dyn NocEngine) -> Result<(u64, u64), SimError> {
         let cycle = engine.cycle();
-        let cfg = engine.config();
-        let n = cfg.num_nodes();
+        let n = engine.config().num_nodes();
         self.checks += 1;
 
         let mut ring_fill = 0u64;
@@ -169,15 +171,16 @@ impl InvariantChecker {
                 ring_fill += (self.stim_cap - free) as u64;
             }
             if let Some(occ) = engine.vc_occupancy(node) {
+                let bound = self.queue_bound[node];
                 for (vc, &o) in occ.iter().enumerate() {
-                    if o > self.queue_bound {
+                    if o > bound {
                         return Err(self.violation(
                             cycle,
                             "queue-bound",
                             format!(
                                 "node {node} vc {vc}: {o} flits queued, bound is \
-                                 {} ({NUM_PORTS} ports x depth {})",
-                                self.queue_bound, cfg.router.queue_depth
+                                 {bound} ({NUM_PORTS} ports x depth {})",
+                                engine.queue_depth(node)
                             ),
                         ));
                     }

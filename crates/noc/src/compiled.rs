@@ -16,7 +16,7 @@
 //! differ only in speed.
 
 use crate::build::analyse;
-use crate::engine::{ring_pending, HostPtrs, NocEngine};
+use crate::engine::{queued_per_vc, ring_pending, HostPtrs, NocEngine};
 use crate::seq::{attributed_profiler, build_noc_spec};
 use noc_types::fault::FaultPlan;
 use noc_types::{NetworkConfig, NUM_VCS};
@@ -133,18 +133,21 @@ impl CompiledNoc {
         self.host = snap.1.clone();
     }
 
-    /// Device-side register file of one router (a host "memory peek"):
-    /// the packed state words, decoded. The audit reads
-    /// ([`stim_free`](NocEngine::stim_free),
-    /// [`vc_occupancy`](NocEngine::vc_occupancy)) come through here.
+    /// Device-side register file of one router (a host "memory peek"),
+    /// copied out of the router exec's decoded state — the state a
+    /// [`snapshot`](Self::snapshot) packs for this node.
     pub fn peek_regs(&self, node: usize) -> RouterRegs {
-        RouterRegs::unpack(self.depths[node], &self.engine.peek_state(node))
+        *self.regs(node)
     }
 
     /// Borrow node `node`'s decoded register file straight from the
-    /// router exec — the campaign's host window (`push_stim`,
-    /// `drain_delivered`, `drain_access`) reads one pointer per call,
-    /// so it must not pay a pack and an unpack of the whole file for it.
+    /// router exec. The decoded state is always the current one (the
+    /// arena's packed words go stale at the block's first update and
+    /// are only packed again into a snapshot's copy), so every host
+    /// read — the ring window (`push_stim`, `drain_delivered`,
+    /// `drain_access`) and the audit reads (`stim_free`,
+    /// `vc_occupancy`) — is one pointer chase, like the paper's memory
+    /// peek, with no pack, unpack or allocation.
     fn regs(&self, node: usize) -> &RouterRegs {
         let inst = &self.engine.spec().blocks()[node];
         let Some(router) = self
@@ -208,14 +211,7 @@ impl NocEngine for CompiledNoc {
     }
 
     fn vc_occupancy(&self, node: usize) -> Option<[u32; NUM_VCS]> {
-        let regs = self.peek_regs(node);
-        let mut occ = [0u32; NUM_VCS];
-        for p in 0..noc_types::NUM_PORTS {
-            for (vc, o) in occ.iter_mut().enumerate() {
-                *o += regs.queues[p * NUM_VCS + vc].occupancy() as u32;
-            }
-        }
-        Some(occ)
+        Some(queued_per_vc(self.regs(node)))
     }
 
     fn attach_profiler(&mut self, sample_every: u64) -> bool {
@@ -230,12 +226,16 @@ impl NocEngine for CompiledNoc {
             .map(|p| p.report("seqsim-compiled", wall_s))
     }
 
+    fn queue_depth(&self, node: usize) -> usize {
+        self.depths[node]
+    }
+
     fn stim_capacity(&self) -> usize {
         self.iface_cfg.stim_cap
     }
 
     fn stim_free(&self, node: usize, vc: usize) -> usize {
-        self.stim_room(node, vc, self.peek_regs(node).iface.stim_rd[vc])
+        self.stim_room(node, vc, self.regs(node).iface.stim_rd[vc])
     }
 
     fn push_stim(&mut self, node: usize, vc: usize, entry: StimEntry) -> bool {

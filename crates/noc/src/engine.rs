@@ -7,10 +7,10 @@
 //! [`vc_router::regs::IfaceRegs`].
 
 use noc_types::fault::FaultPlan;
-use noc_types::NetworkConfig;
+use noc_types::{NetworkConfig, NUM_PORTS, NUM_VCS};
 use seqsim::{DeltaStats, SimError};
 use std::sync::Arc;
-use vc_router::{AccEntry, OutEntry, StimEntry};
+use vc_router::{AccEntry, OutEntry, RouterRegs, StimEntry};
 
 /// A delivered flit with its destination node attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +54,14 @@ pub trait NocEngine {
     /// invariant.
     fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         None
+    }
+
+    /// Input-queue depth of `node`'s router: the configured depth,
+    /// unless the engine was built with per-node depths (paper §7.1's
+    /// heterogeneous networks).
+    fn queue_depth(&self, node: usize) -> usize {
+        let _ = node;
+        self.config().router.queue_depth
     }
 
     /// Capacity of every stimuli ring in entries.
@@ -239,6 +247,19 @@ impl HostPtrs {
             acc_rd,
         })
     }
+}
+
+/// Per-VC occupancy of one router's input queues, summed over the five
+/// input ports — what every backend's
+/// [`vc_occupancy`](NocEngine::vc_occupancy) reports.
+pub(crate) fn queued_per_vc(regs: &RouterRegs) -> [u32; NUM_VCS] {
+    let mut occ = [0u32; NUM_VCS];
+    for p in 0..NUM_PORTS {
+        for (vc, o) in occ.iter_mut().enumerate() {
+            *o += regs.queues[p * NUM_VCS + vc].occupancy() as u32;
+        }
+    }
+    occ
 }
 
 /// Count of entries between a host pointer and a device pointer, with an

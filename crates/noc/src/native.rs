@@ -12,7 +12,7 @@
 //!
 //! then the clock edge updates all register files simultaneously.
 
-use crate::engine::{ring_pending, HostPtrs, NocEngine};
+use crate::engine::{queued_per_vc, ring_pending, HostPtrs, NocEngine};
 use crate::wiring::Wiring;
 use noc_types::fault::{FaultPlan, NodeFaults};
 use noc_types::{Direction, LinkFwd, NetworkConfig, Port, NUM_PORTS, NUM_VCS};
@@ -238,13 +238,11 @@ impl NocEngine for NativeNoc {
     }
 
     fn vc_occupancy(&self, node: usize) -> Option<[u32; NUM_VCS]> {
-        let mut occ = [0u32; NUM_VCS];
-        for p in 0..NUM_PORTS {
-            for (vc, o) in occ.iter_mut().enumerate() {
-                *o += self.regs[node].queues[p * NUM_VCS + vc].occupancy() as u32;
-            }
-        }
-        Some(occ)
+        Some(queued_per_vc(&self.regs[node]))
+    }
+
+    fn queue_depth(&self, node: usize) -> usize {
+        self.ctxs[node].depth
     }
 
     fn stim_capacity(&self) -> usize {

@@ -9,7 +9,7 @@
 //! memory interface: slot writes plus an external write-pointer register
 //! per ring, state peeks for the device-side pointers.
 
-use crate::engine::{ring_pending, HostPtrs, NocEngine};
+use crate::engine::{queued_per_vc, ring_pending, HostPtrs, NocEngine};
 use crate::wiring::Wiring;
 use noc_types::fault::FaultPlan;
 use noc_types::{Direction, NetworkConfig, NUM_VCS};
@@ -308,14 +308,7 @@ impl NocEngine for SeqNoc {
     }
 
     fn vc_occupancy(&self, node: usize) -> Option<[u32; NUM_VCS]> {
-        let regs = self.peek_regs(node);
-        let mut occ = [0u32; NUM_VCS];
-        for p in 0..noc_types::NUM_PORTS {
-            for (vc, o) in occ.iter_mut().enumerate() {
-                *o += regs.queues[p * NUM_VCS + vc].occupancy() as u32;
-            }
-        }
-        Some(occ)
+        Some(queued_per_vc(&self.peek_regs(node)))
     }
 
     fn attach_instrumentation(&mut self, registry: &simtrace::Registry, tracer: &simtrace::Tracer) {
@@ -337,6 +330,10 @@ impl NocEngine for SeqNoc {
         self.engine
             .take_profiler()
             .map(|p| p.report("seqsim", wall_s))
+    }
+
+    fn queue_depth(&self, node: usize) -> usize {
+        self.depths[node]
     }
 
     fn stim_capacity(&self) -> usize {

@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> zero-allocation hot loops on the release build (debug builds take the gated kernel's oracle arms)"
+cargo test --release -q --test disabled_path_overhead
+
 echo "==> cargo test -q (root package and every crate: unit, integration and doc tests)"
 cargo test -q
 

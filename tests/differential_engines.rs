@@ -8,10 +8,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use noc::diff::{assert_traces_equal, collect_trace, Trace};
-use noc::{CompiledNoc, EngineKind, NativeNoc, NocEngine};
-use noc_types::{NetworkConfig, Topology};
+use noc::{CompiledNoc, EngineKind, FaultPlan, NativeNoc, NocEngine, SeqNoc};
+use noc_types::fault::Window;
+use noc_types::{NetworkConfig, Topology, NUM_VCS};
+use std::collections::VecDeque;
+use std::sync::Arc;
 use traffic::{BeConfig, GtAllocator, StimuliGenerator, TrafficConfig};
-use vc_router::IfaceConfig;
+use vc_router::{IfaceConfig, StimEntry};
 
 fn traffic_for(net: NetworkConfig, load: f64, gt: bool, seed: u64) -> TrafficConfig {
     let gt_streams = if gt {
@@ -219,4 +222,235 @@ fn gated_compiled_engine_tracks_native_per_cycle_and_skips_what_is_idle() {
         "the silent period adds skips: {g:?}"
     );
     assert!(g.input_wakes > 0 && g.timed_wakes > 0, "{g:?}");
+}
+
+/// `native`, `seqsim` and `seqsim-compiled` on one network and fault
+/// plan, stepped in lockstep, with the invariant checker's read surface
+/// (`stim_free`, `vc_occupancy`) and the sequential engines' register
+/// peeks compared after every cycle.
+struct Lockstep {
+    net: NetworkConfig,
+    native: NativeNoc,
+    seq: SeqNoc,
+    compiled: CompiledNoc,
+    backlog: Vec<[VecDeque<StimEntry>; NUM_VCS]>,
+}
+
+impl Lockstep {
+    fn new(net: NetworkConfig, faults: Option<Arc<FaultPlan>>) -> Lockstep {
+        let n = net.num_nodes();
+        let iface = IfaceConfig::default();
+        Lockstep {
+            net,
+            native: NativeNoc::with_depths_and_faults(
+                net,
+                iface,
+                &vec![net.router.queue_depth; n],
+                faults.clone(),
+            ),
+            seq: SeqNoc::with_faults(net, iface, faults.clone()),
+            compiled: CompiledNoc::with_faults(net, iface, faults),
+            backlog: (0..n)
+                .map(|_| core::array::from_fn(|_| VecDeque::new()))
+                .collect(),
+        }
+    }
+
+    fn assert_reads_agree(&self, when: &str) {
+        let cycle = self.native.cycle();
+        assert_eq!(self.seq.cycle(), cycle);
+        assert_eq!(self.compiled.cycle(), cycle);
+        for node in 0..self.net.num_nodes() {
+            let at = format!("{when}, cycle {cycle} node {node}");
+            let occ = self.native.vc_occupancy(node);
+            assert!(occ.is_some(), "{at}: native reports occupancy");
+            assert_eq!(self.seq.vc_occupancy(node), occ, "{at}: seqsim occupancy");
+            assert_eq!(
+                self.compiled.vc_occupancy(node),
+                occ,
+                "{at}: compiled occupancy"
+            );
+            for vc in 0..NUM_VCS {
+                let free = self.native.stim_free(node, vc);
+                assert_eq!(self.seq.stim_free(node, vc), free, "{at} vc {vc}: seqsim");
+                assert_eq!(
+                    self.compiled.stim_free(node, vc),
+                    free,
+                    "{at} vc {vc}: compiled"
+                );
+            }
+            let regs = self.compiled.peek_regs(node);
+            assert_eq!(self.seq.peek_regs(node), regs, "{at}: registers");
+            assert_eq!(*self.native.regs(node), regs, "{at}: native registers");
+        }
+    }
+
+    /// Queue `gen`'s stimuli for `[t0, t1)` and push as many as the rings
+    /// take into all three engines; returns the flits pushed.
+    fn load(&mut self, gen: &mut StimuliGenerator, t0: u64, t1: u64) -> usize {
+        let w = gen.generate(t0, t1);
+        for (node, rings) in w.stim.into_iter().enumerate() {
+            for (vc, entries) in rings.into_iter().enumerate() {
+                self.backlog[node][vc].extend(entries);
+            }
+        }
+        let mut pushed = 0;
+        for node in 0..self.net.num_nodes() {
+            for vc in 0..NUM_VCS {
+                while let Some(&e) = self.backlog[node][vc].front() {
+                    if !self.push(node, vc, e) {
+                        break;
+                    }
+                    self.backlog[node][vc].pop_front();
+                    pushed += 1;
+                }
+            }
+        }
+        self.assert_reads_agree("after the load phase");
+        pushed
+    }
+
+    fn push(&mut self, node: usize, vc: usize, e: StimEntry) -> bool {
+        let ok = self.native.push_stim(node, vc, e);
+        assert_eq!(self.seq.push_stim(node, vc, e), ok, "seqsim push");
+        assert_eq!(self.compiled.push_stim(node, vc, e), ok, "compiled push");
+        ok
+    }
+
+    /// Step all three engines `cycles` times, comparing after each.
+    fn step(&mut self, cycles: u64) {
+        for _ in 0..cycles {
+            self.native.step();
+            self.seq.step();
+            self.compiled.step();
+            self.assert_reads_agree("after a step");
+        }
+    }
+
+    /// Drain both output rings of every node; returns the flits
+    /// delivered.
+    fn drain(&mut self) -> usize {
+        let mut delivered = 0;
+        for node in 0..self.net.num_nodes() {
+            let out = self.native.drain_delivered(node);
+            assert_eq!(self.seq.drain_delivered(node), out);
+            assert_eq!(self.compiled.drain_delivered(node), out);
+            let acc = self.native.drain_access(node);
+            assert_eq!(self.seq.drain_access(node), acc);
+            assert_eq!(self.compiled.drain_access(node), acc);
+            delivered += out.len();
+        }
+        delivered
+    }
+
+    /// Load, step and drain `periods` periods of `period` cycles from
+    /// cycle `t0` on; returns the flits delivered.
+    fn run_loaded(
+        &mut self,
+        gen: &mut StimuliGenerator,
+        t0: u64,
+        periods: u64,
+        period: u64,
+    ) -> usize {
+        let mut delivered = 0;
+        for p in 0..periods {
+            let t = t0 + p * period;
+            self.load(gen, t, t + period);
+            self.step(period);
+            delivered += self.drain();
+        }
+        delivered
+    }
+}
+
+#[test]
+fn audit_reads_agree_in_lockstep_under_stall_windows() {
+    let net = NetworkConfig::new(4, 4, Topology::Torus, 2);
+    let mut plan = FaultPlan::new(net.num_nodes(), 0x57A1);
+    for (node, start, end) in [(0, 40, 90), (5, 60, 200), (10, 150, 160), (15, 250, 400)] {
+        plan.add_stall(node, Window::new(start, end));
+    }
+    let mut ls = Lockstep::new(net, Some(Arc::new(plan)));
+    let mut gen = StimuliGenerator::new(traffic_for(net, 0.3, true, 0x57A1));
+    assert!(
+        ls.run_loaded(&mut gen, 0, 8, 64) > 0,
+        "traffic was delivered"
+    );
+}
+
+#[test]
+fn audit_reads_agree_across_a_compiled_checkpoint_round_trip() {
+    // Restoring a checkpoint refills the compiled routers' decoded
+    // registers from the packed snapshot: the reads must come back equal
+    // on a fresh engine and stay equal as it runs on.
+    let net = NetworkConfig::new(4, 4, Topology::Torus, 2);
+    let mut ls = Lockstep::new(net, None);
+    let mut gen = StimuliGenerator::new(traffic_for(net, 0.3, true, 0xC4E7));
+    let before = ls.run_loaded(&mut gen, 0, 4, 64);
+    // Leave flits in the rings and queues across the round trip.
+    ls.load(&mut gen, 256, 320);
+    ls.step(17);
+    let bytes = ls
+        .compiled
+        .save_state()
+        .expect("compiled engine checkpoints");
+    let mut restored = CompiledNoc::new(net, IfaceConfig::default());
+    restored
+        .load_state(&bytes)
+        .expect("checkpoint restores into a fresh engine");
+    ls.compiled = restored;
+    ls.assert_reads_agree("right after load_state");
+    ls.step(64 - 17);
+    let after = ls.drain() + ls.run_loaded(&mut gen, 320, 4, 64);
+    assert!(
+        before > 0 && after > 0,
+        "traffic was delivered on both sides"
+    );
+}
+
+#[test]
+fn audit_reads_agree_on_a_push_into_a_fully_asleep_network() {
+    let net = NetworkConfig::new(4, 4, Topology::Torus, 2);
+    let mut ls = Lockstep::new(net, None);
+    let mut gen = StimuliGenerator::new(traffic_for(net, 0.2, false, 0xA51E));
+    ls.run_loaded(&mut gen, 0, 2, 64);
+    // Let every flit drain, then idle long enough that every compiled
+    // router sleeps and `run` fast-forwards.
+    ls.step(256);
+    ls.drain();
+    ls.native.run(200);
+    ls.seq.run(200);
+    ls.compiled.run(200);
+    ls.assert_reads_agree("after the idle stretch");
+    let g = ls.compiled.engine().gating_stats();
+    assert!(
+        g.fast_forwarded_cycles > 0,
+        "the network fell asleep: {g:?}"
+    );
+    // One flit into a sleeping network: the ring pointer moves before any
+    // cycle runs, and the woken router picks it up on the next edge.
+    let t = ls.native.cycle();
+    let _ = gen.generate(128, t);
+    let w = gen.generate(t, t + 64);
+    let (node, vc, e) = w
+        .stim
+        .iter()
+        .enumerate()
+        .flat_map(|(node, rings)| {
+            rings
+                .iter()
+                .enumerate()
+                .flat_map(move |(vc, es)| es.first().map(|&e| (node, vc, e)))
+        })
+        .next()
+        .expect("the generator offered a flit");
+    assert!(ls.push(node, vc, e), "an empty ring accepts the flit");
+    ls.assert_reads_agree("right after the push");
+    ls.step(64);
+    ls.drain();
+    assert_eq!(
+        ls.compiled.stim_free(node, vc),
+        ls.compiled.stim_capacity(),
+        "the woken router took the flit"
+    );
 }

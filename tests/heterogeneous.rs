@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use noc::diff::{assert_traces_equal, collect_trace};
-use noc::{CompiledNoc, NativeNoc, SeqNoc};
+use noc::{run_fig1_point, CompiledNoc, NativeNoc, NocEngine, RunConfig, SeqNoc};
 use noc_types::{NetworkConfig, Topology};
 use traffic::{BeConfig, TrafficConfig};
 use vc_router::IfaceConfig;
@@ -77,5 +77,40 @@ fn hetero_seqsim_state_memory_sizes_vary_per_instance() {
         let regs = e.peek_regs(node);
         assert_eq!(regs.iface.out_wr, 0);
         assert!(regs.queues.iter().all(|q| q.is_empty()));
+    }
+}
+
+#[test]
+fn checked_hetero_run_reports_no_false_violation() {
+    // The invariant checker bounds each node's queues by that node's own
+    // depth: a depth-8 router in a network configured with depth 2 may
+    // hold more than 5 x 2 flits per VC, and a checked run under load
+    // must not call that a violation.
+    let net = NetworkConfig::new(4, 4, Topology::Torus, 2);
+    let depths = depths_checkerboard(&net, 2, 8);
+    let engines: [Box<dyn NocEngine>; 3] = [
+        Box::new(NativeNoc::with_depths(net, IfaceConfig::default(), &depths)),
+        Box::new(SeqNoc::with_depths(net, IfaceConfig::default(), &depths)),
+        Box::new(CompiledNoc::with_depths(
+            net,
+            IfaceConfig::default(),
+            &depths,
+        )),
+    ];
+    let rc = RunConfig::new()
+        .warmup(200)
+        .measure(400)
+        .drain(200)
+        .period(64)
+        .check(true);
+    for mut engine in engines {
+        let name = engine.name();
+        for (node, &d) in depths.iter().enumerate() {
+            assert_eq!(engine.queue_depth(node), d, "{name} node {node}");
+        }
+        let report =
+            run_fig1_point(engine.as_mut(), 0.3, 3, &rc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(report.invariant_checks > 0, "{name}: the run was audited");
+        assert!(report.throughput.delivered_flits > 0, "{name}");
     }
 }
