@@ -1,7 +1,7 @@
 //! Block-contract checking.
 //!
 //! The dynamic scheduler's correctness rests on two properties of every
-//! [`BlockKind`](crate::block::BlockKind) (the contract §4.2 imposes on
+//! [`crate::block::BlockKind`] (the contract §4.2 imposes on
 //! the extracted RTL):
 //!
 //! 1. **Determinism/idempotence** — re-evaluating with identical current

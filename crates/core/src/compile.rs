@@ -35,15 +35,16 @@
 //! # Why the straight-line program is bit-identical
 //!
 //! Level ℓ of an output port is defined over the *declared* comb
-//! dependencies ([`BlockKind::comb_inputs`]): a port at level ℓ depends
-//! only on links driven by ports at levels < ℓ (plus registered state,
-//! constants and externals). The program scatters all level-0 outputs,
-//! then all level-1 outputs, … so by the time an op runs, every link it
-//! is allowed to read holds its settled value for this cycle. An op
-//! scatters *only* the ports of its level, so a value an exec computes
-//! from not-yet-settled inputs never reaches a link. The final update
-//! pass then sees exactly the link values a parallel-settled hardware
-//! cycle would produce.
+//! dependencies
+//! ([`BlockKind::comb_inputs`](crate::BlockKind::comb_inputs)): a port
+//! at level ℓ depends only on links driven by ports at levels < ℓ (plus
+//! registered state, constants and externals). The program scatters all
+//! level-0 outputs, then all level-1 outputs, … so by the time an op
+//! runs, every link it is allowed to read holds its settled value for
+//! this cycle. An op scatters *only* the ports of its level, so a value
+//! an exec computes from not-yet-settled inputs never reaches a link.
+//! The final update pass then sees exactly the link values a
+//! parallel-settled hardware cycle would produce.
 
 use crate::block::{CombInputs, LinkDriver, SystemSpec};
 use crate::counters::DeltaStats;
@@ -55,7 +56,8 @@ use noc_types::bits::words_for_bits;
 // Specialized execution units
 // ---------------------------------------------------------------------------
 
-/// A specialized, decoded-state execution unit for one [`BlockKind`].
+/// A specialized, decoded-state execution unit for one
+/// [`BlockKind`](crate::BlockKind).
 ///
 /// The compiled engine keeps one exec per kind; it owns the *decoded*
 /// register state of every instance of that kind, so the per-cycle path
@@ -64,7 +66,8 @@ use noc_types::bits::words_for_bits;
 /// [`load`](CompiledExec::load) / [`store`](CompiledExec::store).
 pub trait CompiledExec: Send {
     /// Replace instance `instance`'s decoded state by unpacking `packed`
-    /// (same encoding as [`BlockKind::reset`] state words).
+    /// (same encoding as [`BlockKind::reset`](crate::BlockKind::reset)
+    /// state words).
     fn load(&mut self, instance: usize, packed: &[u64]);
 
     /// Pack instance `instance`'s decoded state into `packed`.
@@ -587,8 +590,9 @@ impl CompiledProgram {
             .map(|i| self.slices[i])
     }
 
-    /// Render the program as parseable text (one op per line). The
-    /// inverse is [`CompiledProgram::parse`].
+    /// Render the program as text, one op per line (the `speclint
+    /// --emit-program` artifact; `tests/compiled_program.rs` pins its
+    /// CRC per network).
     pub fn disassemble(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -658,155 +662,6 @@ impl CompiledProgram {
             }
         }
         out
-    }
-
-    /// Parse the output of [`disassemble`](Self::disassemble) back into
-    /// a program (round-trips exactly, `PartialEq`-comparable).
-    pub fn parse(text: &str) -> Result<CompiledProgram, String> {
-        let mut prog = CompiledProgram {
-            levels: 0,
-            ops: Vec::new(),
-            gathers: Vec::new(),
-            scatters: Vec::new(),
-            update_start: 0,
-            n_blocks: 0,
-            n_links: 0,
-            slices: Vec::new(),
-        };
-        fn field(line: &str, key: &str) -> Result<String, String> {
-            let pat = format!("{key}=");
-            let start = line
-                .find(&pat)
-                .ok_or_else(|| format!("missing {key}= in `{line}`"))?
-                + pat.len();
-            let rest = &line[start..];
-            let end = if rest.starts_with('[') {
-                rest.find(']').map(|i| i + 1)
-            } else {
-                Some(rest.find(' ').unwrap_or(rest.len()))
-            }
-            .ok_or_else(|| format!("unterminated {key}= in `{line}`"))?;
-            Ok(rest[..end].to_string())
-        }
-        fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-            s.parse().map_err(|_| format!("bad number `{s}`"))
-        }
-        fn tuples(list: &str) -> Result<Vec<Vec<String>>, String> {
-            let inner = list
-                .strip_prefix('[')
-                .and_then(|s| s.strip_suffix(']'))
-                .ok_or_else(|| format!("bad list `{list}`"))?;
-            let mut out = Vec::new();
-            for part in inner.split("),").filter(|p| !p.is_empty()) {
-                let t = part.trim_start_matches('(').trim_end_matches(')');
-                out.push(t.split(',').map(str::to_string).collect());
-            }
-            Ok(out)
-        }
-        let parse_gather = |prog: &mut CompiledProgram, line: &str| -> Result<OpRange, String> {
-            let start = prog.gathers.len() as u32;
-            for t in tuples(&field(line, "g")?)? {
-                let (shift, acc) = match t.len() {
-                    2 => (0u8, false),
-                    4 => (num::<u8>(&t[2])?, t[3] == "1"),
-                    _ => return Err(format!("bad gather tuple in `{line}`")),
-                };
-                prog.gathers.push(GatherMove {
-                    port: num(&t[0])?,
-                    link: num(&t[1])?,
-                    shift,
-                    acc,
-                });
-            }
-            Ok(OpRange {
-                start,
-                len: prog.gathers.len() as u32 - start,
-            })
-        };
-        let parse_scatter = |prog: &mut CompiledProgram, line: &str| -> Result<OpRange, String> {
-            let start = prog.scatters.len() as u32;
-            for t in tuples(&field(line, "s")?)? {
-                let shift: u8 = match t.len() {
-                    3 => 0,
-                    4 => num(&t[3])?,
-                    _ => return Err(format!("bad scatter tuple in `{line}`")),
-                };
-                let mask = t[2]
-                    .strip_prefix("0x")
-                    .ok_or_else(|| format!("bad mask `{}`", t[2]))
-                    .and_then(|h| {
-                        u64::from_str_radix(h, 16).map_err(|_| format!("bad mask `{h}`"))
-                    })?;
-                prog.scatters.push(ScatterMove {
-                    port: num(&t[0])?,
-                    link: num(&t[1])?,
-                    mask,
-                    shift,
-                });
-            }
-            Ok(OpRange {
-                start,
-                len: prog.scatters.len() as u32 - start,
-            })
-        };
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with(';') {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("mode ") {
-                if !rest.starts_with("straight ") {
-                    return Err(format!("unknown mode `{rest}`"));
-                }
-                prog.levels = num(&field(rest, "levels")?)?;
-            } else if let Some(rest) = line.strip_prefix("blocks ") {
-                prog.n_blocks = num(rest.trim())?;
-            } else if let Some(rest) = line.strip_prefix("links ") {
-                prog.n_links = num(rest.trim())?;
-            } else if let Some(rest) = line.strip_prefix("update_start ") {
-                prog.update_start = num(rest.trim())?;
-            } else if let Some(rest) = line.strip_prefix("slice ") {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                if parts.len() != 3 {
-                    return Err(format!("bad slice line `{line}`"));
-                }
-                prog.slices.push(SliceEntry {
-                    link: num(parts[0])?,
-                    base: num(parts[1])?,
-                    width: num(parts[2])?,
-                });
-            } else if let Some(rest) = line.strip_prefix("op ") {
-                let kind = num(&field(rest, "k")?)?;
-                let block = num(&field(rest, "b")?)?;
-                let instance = num(&field(rest, "i")?)?;
-                if rest.starts_with("comb ") {
-                    let pass = num(&field(rest, "p")?)?;
-                    let gather = parse_gather(&mut prog, rest)?;
-                    let scatter = parse_scatter(&mut prog, rest)?;
-                    prog.ops.push(Op::Comb {
-                        kind,
-                        pass,
-                        block,
-                        instance,
-                        gather,
-                        scatter,
-                    });
-                } else if rest.starts_with("update ") {
-                    let gather = parse_gather(&mut prog, rest)?;
-                    prog.ops.push(Op::Update {
-                        kind,
-                        block,
-                        instance,
-                        gather,
-                    });
-                } else {
-                    return Err(format!("unknown op `{rest}`"));
-                }
-            } else {
-                return Err(format!("unknown line `{line}`"));
-            }
-        }
-        Ok(prog)
     }
 }
 
@@ -1377,11 +1232,6 @@ impl CompiledEngine {
         self.profiler.take()
     }
 
-    /// The attached profiler, if any.
-    pub fn profiler(&self) -> Option<&KernelProfiler> {
-        self.profiler.as_deref()
-    }
-
     /// Capture a bit-exact snapshot (custom-exec state packed into the
     /// arena copy).
     pub fn snapshot(&self) -> CompiledSnapshot {
@@ -1862,16 +1712,6 @@ mod tests {
     }
 
     #[test]
-    fn disassembly_round_trips() {
-        let eng = CompiledEngine::new(acc_chain().0);
-        let text = eng.program().disassemble();
-        let parsed = CompiledProgram::parse(&text).expect("parse");
-        assert_eq!(&parsed, eng.program());
-        // And a second render is identical.
-        assert_eq!(parsed.disassemble(), text);
-    }
-
-    #[test]
     fn every_link_written_by_at_most_one_op() {
         let eng = CompiledEngine::new(acc_chain().0);
         let prog = eng.program();
@@ -2230,11 +2070,6 @@ mod tests {
         for (l, &v) in tail.iter().enumerate() {
             assert_eq!(sliced.link_value(l), v, "link {l} after restore");
         }
-
-        // Disassembly of a sliced program round-trips exactly.
-        let text = sliced.program().disassemble();
-        let parsed = CompiledProgram::parse(&text).expect("parse");
-        assert_eq!(&parsed, sliced.program());
     }
 
     #[test]

@@ -314,24 +314,9 @@ impl DynamicEngine {
         self.scheduling = s;
     }
 
-    /// Restart the round-robin scan at the head of the base order every
-    /// system cycle. [`Scheduling::Hybrid`] implies this; exposing it
-    /// separately lets a differential test drive a plain
-    /// [`Scheduling::HbrRoundRobin`] engine through the exact evaluation
-    /// sequence a hybrid engine with the same order produces.
-    pub fn set_sweep_reset(&mut self, on: bool) {
-        self.sweep_from_head = on;
-    }
-
     /// Enable schedule tracing (Fig 5 reproduction).
     pub fn enable_trace(&mut self) {
         self.trace = Some(ScheduleTrace::default());
-    }
-
-    /// Enable schedule tracing with an event cap: once `limit` events
-    /// are held, further events are dropped and counted.
-    pub fn enable_trace_limited(&mut self, limit: usize) {
-        self.trace = Some(ScheduleTrace::with_limit(limit));
     }
 
     /// The recorded trace, if tracing was enabled.
@@ -353,11 +338,6 @@ impl DynamicEngine {
     /// Detach and return the profiler, if one was attached.
     pub fn take_profiler(&mut self) -> Option<Box<KernelProfiler>> {
         self.profiler.take()
-    }
-
-    /// The attached profiler, if any.
-    pub fn profiler(&self) -> Option<&KernelProfiler> {
-        self.profiler.as_deref()
     }
 
     /// Is block `b` stable? (evaluated, and every adjacent link read.)
@@ -609,11 +589,6 @@ impl DynamicEngine {
             self.try_step()?;
         }
         Ok(())
-    }
-
-    /// The first error this engine hit, if it is broken.
-    pub fn error(&self) -> Option<&SimError> {
-        self.broken.as_ref()
     }
 
     /// Current system cycle count.

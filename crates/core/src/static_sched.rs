@@ -115,12 +115,6 @@ impl StaticEngine {
         self.trace = Some(ScheduleTrace::default());
     }
 
-    /// Enable schedule tracing with an event cap: once `limit` events
-    /// are held, further events are dropped and counted.
-    pub fn enable_trace_limited(&mut self, limit: usize) {
-        self.trace = Some(ScheduleTrace::with_limit(limit));
-    }
-
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&ScheduleTrace> {
         self.trace.as_ref()

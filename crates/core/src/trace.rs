@@ -19,50 +19,20 @@ pub struct TraceEvent {
     pub re_evaluation: bool,
 }
 
-/// A recording of the delta-cycle schedule of a run.
-///
-/// By default the recording is unbounded (the Fig 3/Fig 5 reproductions
-/// trace a handful of cycles). Long dynamic-schedule runs should bound
-/// it with [`with_limit`](Self::with_limit): once `limit` events are
-/// held, further events are dropped and counted instead of growing
-/// memory without bound.
+/// A recording of the delta-cycle schedule of a run. It is unbounded:
+/// the Fig 3/Fig 5 reproductions trace a handful of cycles.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleTrace {
     /// Recorded events in execution order.
     pub events: Vec<TraceEvent>,
-    limit: Option<usize>,
-    dropped: u64,
 }
 
 impl ScheduleTrace {
-    /// An empty trace that keeps at most `limit` events and counts the
-    /// overflow in [`dropped`](Self::dropped).
-    pub fn with_limit(limit: usize) -> Self {
-        ScheduleTrace {
-            events: Vec::new(),
-            limit: Some(limit),
-            dropped: 0,
-        }
-    }
-
-    /// Record one event, honouring the configured limit.
+    /// Record one event.
     pub fn push(&mut self, e: TraceEvent) {
-        if self.limit.is_some_and(|l| self.events.len() >= l) {
-            self.dropped += 1;
-        } else {
-            self.events.push(e);
-        }
+        self.events.push(e);
     }
 
-    /// The configured event cap, if any.
-    pub fn limit(&self) -> Option<usize> {
-        self.limit
-    }
-
-    /// Events dropped because the cap was reached.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
     /// Render the trace in the paper's `(system, delta)` notation, e.g.
     /// `(1,2): eval B0 *re-eval* [link 2 changed]`.
     pub fn render(&self) -> String {
@@ -141,26 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn limit_drops_and_counts_overflow() {
-        let mut t = ScheduleTrace::with_limit(3);
-        for i in 0..10 {
-            t.push(ev(i, 0));
-        }
-        assert_eq!(t.events.len(), 3);
-        assert_eq!(t.dropped(), 7);
-        assert_eq!(t.limit(), Some(3));
-        // The kept events are the earliest ones.
-        assert_eq!(t.tuples(), vec![(0, 0, 0), (1, 0, 0), (2, 0, 0)]);
-    }
-
-    #[test]
     fn unlimited_trace_never_drops() {
         let mut t = ScheduleTrace::default();
         for i in 0..100 {
             t.push(ev(i, 0));
         }
         assert_eq!(t.events.len(), 100);
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.limit(), None);
+        assert_eq!(t.tuples()[99], (99, 0, 0));
     }
 }

@@ -310,8 +310,8 @@ impl noc::NocEngine for CycleNoc {
         Some(occ)
     }
 
-    fn stim_capacity(&self) -> usize {
-        self.iface_cfg.stim_cap
+    fn iface(&self) -> IfaceConfig {
+        self.iface_cfg
     }
 
     fn stim_free(&self, node: usize, vc: usize) -> usize {

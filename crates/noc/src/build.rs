@@ -30,7 +30,7 @@ use crate::compiled::CompiledNoc;
 use crate::engine::NocEngine;
 use crate::native::NativeNoc;
 use crate::runner::RunConfig;
-use crate::seq::{build_noc_spec, SeqNoc};
+use crate::seq::SeqNoc;
 use crate::session::Session;
 use noc_types::fault::FaultPlan;
 use noc_types::NetworkConfig;
@@ -193,19 +193,16 @@ impl SimBuilder {
                 cfg, iface, &depths, faults,
             ))),
             EngineKind::Seq => {
-                let mut seq = SeqNoc::with_faults(cfg, iface, faults);
+                let mut seq = SeqNoc::try_build(cfg, iface, &depths, faults)?;
                 if let Some(schedule) = analyse(seq.engine().spec())? {
                     seq.engine_mut()
                         .set_scheduling(Scheduling::Hybrid(Arc::new(schedule)));
                 }
                 Ok(Box::new(seq))
             }
-            EngineKind::SeqCompiled => {
-                let parts = build_noc_spec(&cfg, iface, &depths, &faults);
-                let order = analyse(&parts.0)?.map(|h| h.order);
-                let noc = CompiledNoc::compile(cfg, iface, &depths, faults, parts, order);
-                Ok(Box::new(noc))
-            }
+            EngineKind::SeqCompiled => Ok(Box::new(CompiledNoc::try_build(
+                cfg, iface, &depths, faults,
+            )?)),
             kind @ (EngineKind::CycleSim | EngineKind::Rtl) => Err(SimError::Config(format!(
                 "engine kind {kind:?} is implemented outside the noc crate; \
                  build it through soc_sim::sim(cfg), or register a factory: \
@@ -264,6 +261,7 @@ pub(crate) fn analyse(spec: &SystemSpec) -> Result<Option<HybridSchedule>, SimEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::build_noc_spec;
     use noc_types::Topology;
 
     fn cfg() -> NetworkConfig {
@@ -297,6 +295,7 @@ mod tests {
             .iface(iface)
             .try_build()
             .expect("default kind builds");
+        assert_eq!(e.iface(), iface);
         assert_eq!(e.stim_capacity(), 32);
     }
 

@@ -2,7 +2,7 @@
 //! flat bytecode kernel.
 //!
 //! [`CompiledNoc`] builds the exact same [`seqsim::SystemSpec`] as
-//! [`SeqNoc`](crate::SeqNoc) (shared constructor), then hands it to
+//! [`SeqNoc`](crate::SeqNoc), then hands it to
 //! [`seqsim::CompiledEngine`]: the SCC condensation and hybrid schedule
 //! are lowered *once*, at build time, into a linear program over a
 //! contiguous `u64` arena. The router's port-level comb structure
@@ -10,316 +10,73 @@
 //! room bits) is acyclic, so the whole NoC compiles to straight-line
 //! code — two comb passes plus one update op per router per system
 //! cycle, no HBR checks, no scheduler queue, no per-eval dispatch
-//! hashing. Host access (stimuli rings, pointer peeks) is unchanged:
-//! the side memory and external links behave exactly as in the
-//! interpreting engine, so the two backends are bit-identical and
-//! differ only in speed.
+//! hashing. The host side is the [`HostWindow`] both backends share and
+//! the kernels are bit-identical, so the two differ only in speed. This
+//! kernel lends the window each router's decoded registers straight
+//! from the router exec, with no pack, unpack or allocation.
 
 use crate::build::analyse;
-use crate::engine::{queued_per_vc, ring_pending, HostPtrs, NocEngine};
-use crate::seq::{attributed_profiler, build_noc_spec};
-use noc_types::fault::FaultPlan;
-use noc_types::{NetworkConfig, NUM_VCS};
-use seqsim::{CompileOptions, CompiledEngine, DeltaStats, SimError, SystemSpec};
-use std::sync::Arc;
-use vc_router::block::{RING_ACC, RING_OUT, RING_STIM0};
-use vc_router::{AccEntry, CompiledRouter, IfaceConfig, OutEntry, RouterRegs, StimEntry};
-
-/// Wire version of [`CompiledNoc`] checkpoints (engine-distinct so a
-/// checkpoint can never be restored into the wrong backend).
-const CKPT_VERSION: u32 = 0x4350_0001; // "CP" 1
+use crate::window::{forward_to_inherent, HostWindow, SeqKernel};
+use seqsim::{CompileOptions, CompiledEngine, SimError, SystemSpec};
+use std::borrow::Cow;
+use vc_router::{CompiledRouter, RouterRegs};
 
 /// The compiled (bytecode-kernel) NoC engine.
-pub struct CompiledNoc {
-    cfg: NetworkConfig,
-    iface_cfg: IfaceConfig,
-    engine: CompiledEngine,
-    /// External link ids of the stimuli write-pointer registers.
-    wr_links: Vec<[usize; NUM_VCS]>,
-    /// Link ids of each node's outgoing forward links.
-    fwd_links: Vec<[usize; 4]>,
-    /// Queue depth per node (homogeneous networks repeat one value).
-    depths: Vec<usize>,
-    host: HostPtrs,
-    faults: Option<Arc<FaultPlan>>,
-}
+pub type CompiledNoc = HostWindow<CompiledEngine>;
 
-impl CompiledNoc {
-    /// Compile the network into a bytecode kernel.
-    pub fn new(cfg: NetworkConfig, iface_cfg: IfaceConfig) -> Self {
-        Self::with_faults(cfg, iface_cfg, None)
-    }
+impl SeqKernel for CompiledEngine {
+    const NAME: &'static str = "seqsim-compiled";
+    const CKPT_VERSION: u32 = 0x4350_0002; // "CP" 2
+    type Snapshot = seqsim::CompiledSnapshot;
 
-    /// Compile with a deterministic fault plan baked into the shared
-    /// router kind, identically to the interpreting backends.
-    pub fn with_faults(
-        cfg: NetworkConfig,
-        iface_cfg: IfaceConfig,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Self {
-        let n = cfg.num_nodes();
-        Self::with_depths_and_faults(cfg, iface_cfg, &vec![cfg.router.queue_depth; n], faults)
-    }
-
-    /// Compile a *heterogeneous* network: per-node queue depths, one
-    /// shared kind per distinct depth (paper §7.1).
-    pub fn with_depths(cfg: NetworkConfig, iface_cfg: IfaceConfig, depths: &[usize]) -> Self {
-        Self::with_depths_and_faults(cfg, iface_cfg, depths, None)
-    }
-
-    /// The fully-general constructor: per-node depths plus an optional
-    /// fault plan.
-    pub fn with_depths_and_faults(
-        cfg: NetworkConfig,
-        iface_cfg: IfaceConfig,
-        depths: &[usize],
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Self {
-        let parts = build_noc_spec(&cfg, iface_cfg, depths, &faults);
-        // Lower the analyzer's hybrid-schedule order when one exists
-        // (none on analysis errors): the compiled program visits blocks
-        // in the same condensation order the interpreting engine would,
-        // so profiles and traces line up row for row.
-        let order = analyse(&parts.0).ok().flatten().map(|h| h.order);
-        Self::compile(cfg, iface_cfg, depths, faults, parts, order)
-    }
-
-    /// Compile the parts [`build_noc_spec`] assembled, visiting blocks
-    /// in `order` (spec order when `None`).
-    pub(crate) fn compile(
-        cfg: NetworkConfig,
-        iface_cfg: IfaceConfig,
-        depths: &[usize],
-        faults: Option<Arc<FaultPlan>>,
-        (spec, wr_links, fwd_links): (SystemSpec, Vec<[usize; NUM_VCS]>, Vec<[usize; 4]>),
-        order: Option<Vec<usize>>,
-    ) -> Self {
+    /// Analyse the spec once (an error refuses it) and lower it in the
+    /// analyzer's hybrid-schedule order, so profiles and traces line up
+    /// row for row with the interpreting engine.
+    fn from_spec(spec: SystemSpec) -> Result<Self, SimError> {
+        let order = analyse(&spec)?.map(|h| h.order);
         let opts = CompileOptions {
             order,
             ..CompileOptions::default()
         };
-        let engine = CompiledEngine::with_options(spec, &opts);
-        CompiledNoc {
-            cfg,
-            iface_cfg,
-            engine,
-            wr_links,
-            fwd_links,
-            depths: depths.to_vec(),
-            host: HostPtrs::new(cfg.num_nodes()),
-            faults,
-        }
+        Ok(CompiledEngine::with_options(spec, &opts))
     }
 
-    /// The underlying compiled engine (program inspection, disassembly).
-    pub fn engine(&self) -> &CompiledEngine {
-        &self.engine
+    forward_to_inherent!();
+
+    fn try_step(&mut self) -> Result<(), SimError> {
+        self.step();
+        Ok(())
     }
 
-    /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut CompiledEngine {
-        &mut self.engine
+    fn try_run(&mut self, n: u64) -> Result<(), SimError> {
+        self.run(n);
+        Ok(())
     }
 
-    /// Checkpoint the whole simulator including the host-side ring
-    /// pointers (paper §5.1's full-address-map access).
-    pub fn snapshot(&self) -> (seqsim::CompiledSnapshot, HostPtrs) {
-        (self.engine.snapshot(), self.host.clone())
-    }
-
-    /// Restore a checkpoint taken with [`snapshot`](Self::snapshot).
-    pub fn restore(&mut self, snap: &(seqsim::CompiledSnapshot, HostPtrs)) {
-        self.engine.restore(&snap.0);
-        self.host = snap.1.clone();
-    }
-
-    /// Device-side register file of one router (a host "memory peek"),
-    /// copied out of the router exec's decoded state — the state a
-    /// [`snapshot`](Self::snapshot) packs for this node.
-    pub fn peek_regs(&self, node: usize) -> RouterRegs {
-        *self.regs(node)
-    }
-
-    /// Borrow node `node`'s decoded register file straight from the
-    /// router exec. The decoded state is always the current one (the
-    /// arena's packed words go stale at the block's first update and
-    /// are only packed again into a snapshot's copy), so every host
-    /// read — the ring window (`push_stim`, `drain_delivered`,
-    /// `drain_access`) and the audit reads (`stim_free`,
-    /// `vc_occupancy`) — is one pointer chase, like the paper's memory
-    /// peek, with no pack, unpack or allocation.
-    fn regs(&self, node: usize) -> &RouterRegs {
-        let inst = &self.engine.spec().blocks()[node];
+    /// Borrowed from the router exec's decoded state, which is always
+    /// the current one (the arena's packed words go stale at a block's
+    /// first update and are packed again only into a snapshot's copy):
+    /// one pointer chase, like the paper's memory peek.
+    #[inline]
+    fn regs(&self, node: usize, _depth: usize) -> Cow<'_, RouterRegs> {
+        let inst = &self.spec().blocks()[node];
         let Some(router) = self
-            .engine
             .exec(inst.kind)
             .as_any()
             .downcast_ref::<CompiledRouter>()
         else {
             unreachable!("NoC block {node} is not a compiled router");
         };
-        router.regs(inst.instance_of_kind)
-    }
-
-    /// Free slots of a stimuli ring given the device's read pointer.
-    fn stim_room(&self, node: usize, vc: usize, dev_rd: u16) -> usize {
-        let fill = self.host.stim_wr[node][vc].wrapping_sub(dev_rd);
-        self.iface_cfg.stim_cap - fill as usize
-    }
-}
-
-impl NocEngine for CompiledNoc {
-    fn name(&self) -> &'static str {
-        "seqsim-compiled"
-    }
-
-    fn config(&self) -> NetworkConfig {
-        self.cfg
-    }
-
-    fn cycle(&self) -> u64 {
-        self.engine.cycle()
-    }
-
-    fn step(&mut self) {
-        self.engine.step();
-    }
-
-    fn run(&mut self, n: u64) {
-        self.engine.run(n);
-    }
-
-    fn try_run(&mut self, n: u64) -> Result<(), SimError> {
-        self.engine.run(n);
-        Ok(())
-    }
-
-    fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
-
-    fn probe_link(&self, node: usize, dir: usize) -> Option<vc_router::OutEntry> {
-        if self.engine.cycle() == 0 {
-            return None;
-        }
-        let w = noc_types::LinkFwd::from_bits(self.engine.link_value(self.fwd_links[node][dir]));
-        w.valid.then(|| vc_router::OutEntry {
-            cycle: self.engine.cycle() - 1,
-            vc: w.vc,
-            flit: w.flit,
-        })
-    }
-
-    fn vc_occupancy(&self, node: usize) -> Option<[u32; NUM_VCS]> {
-        Some(queued_per_vc(self.regs(node)))
-    }
-
-    fn attach_profiler(&mut self, sample_every: u64) -> bool {
-        self.engine
-            .attach_profiler(attributed_profiler(self.engine.spec(), sample_every));
-        true
-    }
-
-    fn take_profile(&mut self, wall_s: f64) -> Option<simtrace::ProfileReport> {
-        self.engine
-            .take_profiler()
-            .map(|p| p.report("seqsim-compiled", wall_s))
-    }
-
-    fn queue_depth(&self, node: usize) -> usize {
-        self.depths[node]
-    }
-
-    fn stim_capacity(&self) -> usize {
-        self.iface_cfg.stim_cap
-    }
-
-    fn stim_free(&self, node: usize, vc: usize) -> usize {
-        self.stim_room(node, vc, self.regs(node).iface.stim_rd[vc])
-    }
-
-    fn push_stim(&mut self, node: usize, vc: usize, entry: StimEntry) -> bool {
-        if self.stim_room(node, vc, self.regs(node).iface.stim_rd[vc]) == 0 {
-            return false;
-        }
-        let wr = &mut self.host.stim_wr[node][vc];
-        self.engine
-            .side_mut()
-            .write(node, RING_STIM0 + vc, *wr as usize, entry.to_bits());
-        *wr = wr.wrapping_add(1);
-        self.engine
-            .set_external(self.wr_links[node][vc], *wr as u64);
-        true
-    }
-
-    fn drain_delivered(&mut self, node: usize) -> Vec<OutEntry> {
-        let dev = self.regs(node).iface.out_wr;
-        let rd = &mut self.host.out_rd[node];
-        let pending = ring_pending(*rd, dev, self.iface_cfg.out_cap, "output");
-        let mut out = Vec::with_capacity(pending);
-        for _ in 0..pending {
-            out.push(OutEntry::from_bits(self.engine.side().read(
-                node,
-                RING_OUT,
-                *rd as usize,
-            )));
-            *rd = rd.wrapping_add(1);
-        }
-        out
-    }
-
-    fn drain_access(&mut self, node: usize) -> Vec<AccEntry> {
-        let dev = self.regs(node).iface.acc_wr;
-        let rd = &mut self.host.acc_rd[node];
-        let pending = ring_pending(*rd, dev, self.iface_cfg.acc_cap, "access-delay");
-        let mut out = Vec::with_capacity(pending);
-        for _ in 0..pending {
-            out.push(AccEntry::from_bits(self.engine.side().read(
-                node,
-                RING_ACC,
-                *rd as usize,
-            )));
-            *rd = rd.wrapping_add(1);
-        }
-        out
-    }
-
-    fn delta_stats(&self) -> Option<DeltaStats> {
-        Some(self.engine.stats().clone())
-    }
-
-    fn reset_delta_stats(&mut self) {
-        self.engine.reset_stats();
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        let mut e = seqsim::Enc::new();
-        self.engine.snapshot().encode(&mut e);
-        self.host.encode(&mut e);
-        Some(seqsim::wire::seal(CKPT_VERSION, &e.into_bytes()))
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), SimError> {
-        let ckpt =
-            |e: seqsim::WireError| SimError::Config(format!("seqsim-compiled checkpoint: {e}"));
-        let payload = seqsim::wire::open(bytes, CKPT_VERSION).map_err(ckpt)?;
-        let mut d = seqsim::Dec::new(payload);
-        let snap = seqsim::CompiledSnapshot::decode(&mut d).map_err(ckpt)?;
-        let host = HostPtrs::decode(&mut d).map_err(ckpt)?;
-        if !d.finished() {
-            return Err(ckpt(seqsim::WireError::new("trailing bytes")));
-        }
-        self.engine.restore(&snap);
-        self.host = host;
-        Ok(())
+        Cow::Borrowed(router.regs(inst.instance_of_kind))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeqNoc;
-    use noc_types::{Coord, Flit, NodeId, Topology};
+    use crate::{NocEngine, SeqNoc};
+    use noc_types::{Coord, Flit, NetworkConfig, NodeId, Topology};
+    use vc_router::{IfaceConfig, StimEntry};
 
     #[test]
     fn noc_compiles_to_straight_line() {

@@ -184,7 +184,8 @@ mod tests {
         let net = NetworkConfig::new(3, 2, Topology::Mesh, 4);
         let t = tcfg(net, 0.15, false, 77);
         let mut hbr = SeqNoc::new(net, IfaceConfig::default());
-        let mut full = SeqNoc::with_scheduling(net, IfaceConfig::default(), Scheduling::FullPasses);
+        let mut full = SeqNoc::new(net, IfaceConfig::default());
+        full.engine_mut().set_scheduling(Scheduling::FullPasses);
         let a = collect_trace(&mut hbr, &t, 2_000, 200);
         let b = collect_trace(&mut full, &t, 2_000, 200);
         assert_traces_equal("seqsim-hbr", &a, "seqsim-fullpasses", &b);

@@ -10,7 +10,7 @@ use noc_types::fault::FaultPlan;
 use noc_types::{NetworkConfig, NUM_PORTS, NUM_VCS};
 use seqsim::{DeltaStats, SimError};
 use std::sync::Arc;
-use vc_router::{AccEntry, OutEntry, RouterRegs, StimEntry};
+use vc_router::{AccEntry, IfaceConfig, OutEntry, RouterRegs, StimEntry};
 
 /// A delivered flit with its destination node attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +64,13 @@ pub trait NocEngine {
         self.config().router.queue_depth
     }
 
+    /// The host-interface ring configuration the engine was built with.
+    fn iface(&self) -> IfaceConfig;
+
     /// Capacity of every stimuli ring in entries.
-    fn stim_capacity(&self) -> usize;
+    fn stim_capacity(&self) -> usize {
+        self.iface().stim_cap
+    }
 
     /// Free entries in the stimuli ring of `(node, vc)`.
     fn stim_free(&self, node: usize, vc: usize) -> usize;

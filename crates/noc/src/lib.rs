@@ -15,6 +15,8 @@
 //! * [`compiled`] — the same spec lowered once, at build time, into a
 //!   flat bytecode kernel ([`seqsim::CompiledEngine`]) — bit-identical
 //!   to [`seq`], several times faster;
+//! * [`window`] — the host window both sequential backends share: ring
+//!   access, register peeks and checkpoints over a small kernel trait;
 //! * [`runner`] — the five-phase loop (generate / load / simulate /
 //!   retrieve / analyse) with phase profiling and latency analysis;
 //! * [`obs`] — observability for a run: occupancy gauges, link-activity
@@ -70,6 +72,7 @@ pub mod obs;
 pub mod runner;
 pub mod seq;
 pub mod session;
+pub mod window;
 pub mod wiring;
 
 pub use build::{EngineKind, SimBuilder};

@@ -48,18 +48,13 @@ impl NativeNoc {
     /// Build the engine for a network configuration.
     pub fn new(cfg: NetworkConfig, iface_cfg: IfaceConfig) -> Self {
         let n = cfg.num_nodes();
-        Self::with_depths(cfg, iface_cfg, &vec![cfg.router.queue_depth; n])
+        Self::with_depths_and_faults(cfg, iface_cfg, &vec![cfg.router.queue_depth; n], None)
     }
 
     /// Build a *heterogeneous* network (paper §7.1: "It is possible to
     /// select a different router functionality depending on the position
-    /// in the network"): per-node input-queue depths.
-    pub fn with_depths(cfg: NetworkConfig, iface_cfg: IfaceConfig, depths: &[usize]) -> Self {
-        Self::with_depths_and_faults(cfg, iface_cfg, depths, None)
-    }
-
-    /// [`with_depths`](Self::with_depths) plus an optional deterministic
-    /// fault plan (see [`noc_types::fault`]).
+    /// in the network"): per-node input-queue depths, plus an optional
+    /// deterministic fault plan (see [`noc_types::fault`]).
     pub fn with_depths_and_faults(
         cfg: NetworkConfig,
         iface_cfg: IfaceConfig,
@@ -245,8 +240,8 @@ impl NocEngine for NativeNoc {
         self.ctxs[node].depth
     }
 
-    fn stim_capacity(&self) -> usize {
-        self.iface_cfg.stim_cap
+    fn iface(&self) -> IfaceConfig {
+        self.iface_cfg
     }
 
     fn stim_free(&self, node: usize, vc: usize) -> usize {

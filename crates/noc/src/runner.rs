@@ -40,6 +40,8 @@ pub struct RunConfig {
     pub drain: u64,
     /// Simulation period: cycles per generate/load/simulate/retrieve/
     /// analyse round (the paper fixes it to the stimuli-buffer size).
+    /// A run refuses a period longer than the engine's output or access
+    /// ring, which could overrun between two drains.
     pub period: u64,
     /// Host backlog (flits per node-VC) beyond which the network is
     /// declared overloaded and the run stops early.
@@ -660,6 +662,17 @@ pub(crate) fn run_impl(
     if rc.period == 0 {
         return Err(SimError::Config("period: must be at least 1 cycle".into()));
     }
+    // A node writes at most one output and one access record per cycle,
+    // and the rings are drained once per period.
+    let iface = engine.iface();
+    let ring = iface.out_cap.min(iface.acc_cap) as u64;
+    if rc.period > ring {
+        return Err(SimError::Config(format!(
+            "period: {} cycles can overrun a {ring}-entry output or access ring \
+             drained once per period; use at most {ring}",
+            rc.period
+        )));
+    }
     let disabled = ObsConfig::disabled();
     let instr = rc.obs.as_ref().unwrap_or(&disabled);
     let cfg = engine.config();
@@ -1076,6 +1089,7 @@ pub fn delivered_something(r: &RunReport) -> bool {
 mod tests {
     use super::*;
     use crate::native::NativeNoc;
+    use crate::{EngineKind, SimBuilder};
     use noc_types::{NetworkConfig, Topology};
     use vc_router::IfaceConfig;
 
@@ -1218,6 +1232,38 @@ mod tests {
                 matches!(&err, SimError::Config(msg) if msg.starts_with("period: ")),
                 "{err:?}"
             );
+        }
+        // A period longer than the output or access ring could overrun
+        // it between two drains; the longest one that fits runs clean.
+        let iface = IfaceConfig {
+            out_cap: 16,
+            acc_cap: 16,
+            ..IfaceConfig::default()
+        };
+        for kind in [EngineKind::Native, EngineKind::Seq, EngineKind::SeqCompiled] {
+            for (period, refused) in [(256, true), (17, true), (16, false)] {
+                let mut session = SimBuilder::new(cfg)
+                    .engine(kind)
+                    .iface(iface)
+                    .run_config(
+                        RunConfig::new()
+                            .warmup(100)
+                            .cycles(400)
+                            .drain(100)
+                            .period(period),
+                    )
+                    .session()
+                    .expect("builds");
+                let got = session.run_fig1(0.10, 7).map(|_| ());
+                if refused {
+                    assert!(
+                        matches!(&got, Err(SimError::Config(msg)) if msg.starts_with("period: ")),
+                        "{kind:?} period {period}: {got:?}"
+                    );
+                } else {
+                    assert!(got.is_ok(), "{kind:?} period {period}: {got:?}");
+                }
+            }
         }
     }
 }

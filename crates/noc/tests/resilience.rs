@@ -10,8 +10,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use noc::{
-    ckpt, run_fig1_point, CampaignCkpt, CompiledNoc, NocEngine, ObsConfig, RunConfig, RunReport,
-    SeqNoc, SimError,
+    ckpt, run_fig1_point, CampaignCkpt, CompiledNoc, EngineKind, NocEngine, ObsConfig, RunConfig,
+    RunReport, SeqNoc, SimBuilder, SimError,
 };
 use noc_types::{NetworkConfig, Topology};
 use std::path::PathBuf;
@@ -166,8 +166,10 @@ fn faults_among_sleeping_routers_replay_bit_identically() {
         );
     }
     let plan = Arc::new(plan);
-    let mut seq = SeqNoc::with_faults(cfg, IfaceConfig::default(), Some(plan.clone()));
-    let mut faulty = CompiledNoc::with_faults(cfg, IfaceConfig::default(), Some(plan));
+    let depths = vec![cfg.router.queue_depth; n];
+    let iface = IfaceConfig::default();
+    let mut seq = SeqNoc::with_depths_and_faults(cfg, iface, &depths, Some(plan.clone()));
+    let mut faulty = CompiledNoc::with_depths_and_faults(cfg, iface, &depths, Some(plan));
     let mut clean = CompiledNoc::new(cfg, IfaceConfig::default());
     // Three-flit packets from every node to nodes 5 and 10, in three
     // volleys: long before the stall, inside it, long after it.
@@ -315,6 +317,53 @@ fn engine_state_rejects_truncation_flips_and_foreign_engines() {
         NocEngine::load_state(&mut compiled, &seq_state).is_err(),
         "cross-engine restore must fail"
     );
+
+    // A checkpoint restores only into an identically built network:
+    // shape, topology, queue depths and host rings all have to match,
+    // and a refused restore leaves the target stepping as built.
+    let torus = |w, h, depth| NetworkConfig::new(w, h, Topology::Torus, depth);
+    let rings = IfaceConfig::default();
+    let short = IfaceConfig {
+        stim_cap: 64,
+        ..rings
+    };
+    for (from, to) in [
+        ((torus(3, 3, 2), rings), (torus(4, 4, 2), rings)),
+        ((torus(4, 4, 2), rings), (torus(3, 3, 2), rings)),
+        ((torus(4, 4, 2), rings), (torus(2, 8, 2), rings)),
+        ((torus(3, 3, 2), rings), (torus(3, 3, 4), rings)),
+        (
+            (torus(3, 3, 2), rings),
+            (NetworkConfig::new(3, 3, Topology::Mesh, 2), rings),
+        ),
+        ((torus(3, 3, 2), rings), (torus(3, 3, 2), short)),
+    ] {
+        for kind in [EngineKind::Seq, EngineKind::SeqCompiled] {
+            let build = |(cfg, iface): (NetworkConfig, IfaceConfig)| {
+                SimBuilder::new(cfg)
+                    .engine(kind)
+                    .iface(iface)
+                    .try_build()
+                    .unwrap()
+            };
+            let mut source = build(from);
+            source.run(10);
+            let state = source.save_state().unwrap();
+            let (mut target, mut fresh) = (build(to), build(to));
+            let got = target.load_state(&state);
+            assert!(
+                matches!(got, Err(SimError::Config(_))),
+                "{kind:?} {from:?} -> {to:?}: {got:?}"
+            );
+            target.run(20);
+            fresh.run(20);
+            assert_eq!(
+                target.save_state(),
+                fresh.save_state(),
+                "{kind:?} {from:?} -> {to:?}: the refused restore changed the target"
+            );
+        }
+    }
 
     // Files left behind by the retired lane-batched engine: its state
     // container (wire version "BT" 1) is a typed error for both

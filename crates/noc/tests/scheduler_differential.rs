@@ -24,7 +24,8 @@ fn worklist_and_naive_schedulers_agree_on_a_loaded_network() {
     };
     let mut reports = Vec::new();
     for scheduling in [Scheduling::HbrRoundRobin, Scheduling::HbrRoundRobinNaive] {
-        let mut e = SeqNoc::with_scheduling(cfg, IfaceConfig::default(), scheduling);
+        let mut e = SeqNoc::new(cfg, IfaceConfig::default());
+        e.engine_mut().set_scheduling(scheduling);
         let r = run_fig1_point(&mut e, 0.10, 7, &rc).expect("run failed");
         assert!(!r.saturated);
         reports.push(r);

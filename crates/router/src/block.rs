@@ -334,10 +334,9 @@ impl BlockKind for RouterBlock {
 /// * update — stimuli pick, `clock`, `iface_clock`, registers advanced
 ///   in place.
 ///
-/// The update first tests whether the clock edge is a no-op (see
-/// [`idle_wake`](Self::idle_wake)) and, if so, returns the [`Wake`] hint
-/// without doing the work, which lets the engine put the router to
-/// sleep.
+/// The update first tests whether the clock edge is a no-op and, if so,
+/// returns the [`Wake`] hint without doing the work, which lets the
+/// engine put the router to sleep.
 #[derive(Debug, Clone)]
 pub struct CompiledRouter {
     cfg: NetworkConfig,

@@ -14,7 +14,7 @@ use noc_types::{NUM_PORTS, NUM_QUEUES, NUM_VCS};
 /// Advance `regs` by one system cycle given the settled `inputs`.
 ///
 /// `sel` must be the arbitration computed by
-/// [`comb_select`](crate::comb::comb_select) on the *same* register state
+/// [`crate::comb::comb_select`] on the *same* register state
 /// (engines that already computed it pass it in to avoid recomputation;
 /// pass `None` to recompute here).
 pub fn clock(

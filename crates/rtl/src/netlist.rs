@@ -715,8 +715,8 @@ impl NocEngine for RtlNoc {
         Some(occ)
     }
 
-    fn stim_capacity(&self) -> usize {
-        self.iface_cfg.stim_cap
+    fn iface(&self) -> IfaceConfig {
+        self.iface_cfg
     }
 
     fn stim_free(&self, node: usize, vc: usize) -> usize {

@@ -83,16 +83,6 @@ fn noc_programs_are_pinned() {
 }
 
 #[test]
-fn disassembly_round_trips_at_noc_scale() {
-    for (name, prog) in programs() {
-        let text = prog.disassemble();
-        let parsed = CompiledProgram::parse(&text)
-            .unwrap_or_else(|e| panic!("{name}: disassembly does not re-parse: {e}"));
-        assert_eq!(parsed, prog, "{name}: round-trip changed the program");
-    }
-}
-
-#[test]
 fn every_link_offset_has_at_most_one_writer() {
     for (name, prog) in programs() {
         let mut writers = vec![0u32; prog.n_links];

@@ -240,16 +240,12 @@ impl Lockstep {
     fn new(net: NetworkConfig, faults: Option<Arc<FaultPlan>>) -> Lockstep {
         let n = net.num_nodes();
         let iface = IfaceConfig::default();
+        let depths = vec![net.router.queue_depth; n];
         Lockstep {
             net,
-            native: NativeNoc::with_depths_and_faults(
-                net,
-                iface,
-                &vec![net.router.queue_depth; n],
-                faults.clone(),
-            ),
-            seq: SeqNoc::with_faults(net, iface, faults.clone()),
-            compiled: CompiledNoc::with_faults(net, iface, faults),
+            native: NativeNoc::with_depths_and_faults(net, iface, &depths, faults.clone()),
+            seq: SeqNoc::with_depths_and_faults(net, iface, &depths, faults.clone()),
+            compiled: CompiledNoc::with_depths_and_faults(net, iface, &depths, faults),
             backlog: (0..n)
                 .map(|_| core::array::from_fn(|_| VecDeque::new()))
                 .collect(),

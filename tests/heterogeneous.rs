@@ -28,9 +28,10 @@ fn hetero_native_seqsim_and_compiled_agree() {
         gt_streams: Vec::new(),
         seed: 77,
     };
-    let mut a = NativeNoc::with_depths(net, IfaceConfig::default(), &depths);
-    let mut b = SeqNoc::with_depths(net, IfaceConfig::default(), &depths);
-    let mut c = CompiledNoc::with_depths(net, IfaceConfig::default(), &depths);
+    let iface = IfaceConfig::default();
+    let mut a = NativeNoc::with_depths_and_faults(net, iface, &depths, None);
+    let mut b = SeqNoc::with_depths_and_faults(net, iface, &depths, None);
+    let mut c = CompiledNoc::with_depths_and_faults(net, iface, &depths, None);
     let ta = collect_trace(&mut a, &t, 2_000, 256);
     let tb = collect_trace(&mut b, &t, 2_000, 256);
     let tc = collect_trace(&mut c, &t, 2_000, 256);
@@ -55,7 +56,7 @@ fn hetero_differs_from_homogeneous() {
     };
     let mut homo = NativeNoc::new(net, IfaceConfig::default());
     let depths = depths_checkerboard(&net, 2, 8);
-    let mut hetero = NativeNoc::with_depths(net, IfaceConfig::default(), &depths);
+    let mut hetero = NativeNoc::with_depths_and_faults(net, IfaceConfig::default(), &depths, None);
     let th = collect_trace(&mut homo, &t, 2_000, 256);
     let tx = collect_trace(&mut hetero, &t, 2_000, 256);
     assert_ne!(
@@ -70,7 +71,7 @@ fn hetero_seqsim_state_memory_sizes_vary_per_instance() {
     // a depth-8 router holds more bits than a depth-2 one.
     let net = NetworkConfig::new(2, 2, Topology::Torus, 4);
     let depths = vec![2usize, 8, 2, 8];
-    let e = SeqNoc::with_depths(net, IfaceConfig::default(), &depths);
+    let e = SeqNoc::with_depths_and_faults(net, IfaceConfig::default(), &depths, None);
     // peek_regs must decode with the right per-node depth: push nothing,
     // just verify the decode round-trips the reset state.
     for node in 0..4 {
@@ -88,13 +89,12 @@ fn checked_hetero_run_reports_no_false_violation() {
     // must not call that a violation.
     let net = NetworkConfig::new(4, 4, Topology::Torus, 2);
     let depths = depths_checkerboard(&net, 2, 8);
+    let iface = IfaceConfig::default();
     let engines: [Box<dyn NocEngine>; 3] = [
-        Box::new(NativeNoc::with_depths(net, IfaceConfig::default(), &depths)),
-        Box::new(SeqNoc::with_depths(net, IfaceConfig::default(), &depths)),
-        Box::new(CompiledNoc::with_depths(
-            net,
-            IfaceConfig::default(),
-            &depths,
+        Box::new(NativeNoc::with_depths_and_faults(net, iface, &depths, None)),
+        Box::new(SeqNoc::with_depths_and_faults(net, iface, &depths, None)),
+        Box::new(CompiledNoc::with_depths_and_faults(
+            net, iface, &depths, None,
         )),
     ];
     let rc = RunConfig::new()
